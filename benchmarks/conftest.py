@@ -20,7 +20,7 @@ from repro.core.experiment import (
 )
 from repro.core.metrics import run_size_sweep
 from repro.core.modes import AFFINITY_MODES
-from repro.core.parallel import default_jobs
+from repro.core.parallel import SweepRunner, default_jobs
 
 #: Shorter windows for the 56-run Figure 3/4 sweeps; the characterization
 #: corners (8 runs) use the full default windows.
@@ -35,6 +35,11 @@ _CACHE = ResultCache()
 def _progress(msg):
     # Visible with `pytest -s`; harmless otherwise.
     print("[repro] %s" % msg)
+
+
+def _runner(jobs=JOBS):
+    """A cached sweep runner with ``jobs`` workers."""
+    return SweepRunner(jobs=jobs, cache=_CACHE, progress=_progress)
 
 
 @pytest.fixture(scope="session")
@@ -67,18 +72,13 @@ def corner(direction, size, affinity):
 def _pair(direction, size):
     """A (none, full) characterization pair, run in parallel when
     the cache is cold and more than one worker is available."""
-    from repro.core.parallel import SweepRunner
-
     configs = [
         ExperimentConfig(
             direction=direction, message_size=size, affinity=affinity
         )
         for affinity in ("none", "full")
     ]
-    runner = SweepRunner(
-        jobs=min(JOBS, 2), cache=_CACHE, progress=_progress
-    )
-    none, full = runner.run(configs)
+    none, full = _runner(min(JOBS, 2)).run(configs)
     return none, full
 
 
@@ -106,8 +106,8 @@ def rx128_pair():
 def tx_sweep():
     """Figure 3/4 grid, transmit direction (28 runs, cached)."""
     return run_size_sweep(
-        "tx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, cache=_CACHE,
-        progress=_progress, jobs=JOBS, **SWEEP_KW
+        "tx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, runner=_runner(),
+        **SWEEP_KW
     )
 
 
@@ -115,6 +115,6 @@ def tx_sweep():
 def rx_sweep():
     """Figure 3/4 grid, receive direction (28 runs, cached)."""
     return run_size_sweep(
-        "rx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, cache=_CACHE,
-        progress=_progress, jobs=JOBS, **SWEEP_KW
+        "rx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, runner=_runner(),
+        **SWEEP_KW
     )

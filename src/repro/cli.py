@@ -163,20 +163,51 @@ def _config(args, affinity):
     )
 
 
+def _progress(msg):
+    print("[repro] %s" % msg, file=sys.stderr)
+
+
 def _run(args, affinity):
     cache = None if args.no_cache else DEFAULT_CACHE
     return run_experiment(
-        _config(args, affinity),
-        cache=cache,
-        progress=lambda msg: print("[repro] %s" % msg, file=sys.stderr),
+        _config(args, affinity), cache=cache, progress=_progress
     )
+
+
+def _study_runner(args, store):
+    """The one :class:`SweepRunner` a study runs every cell on.
+
+    Built from the command's ``--jobs`` / ``--cell-timeout`` /
+    ``--retries`` (serial defaults for commands without them),
+    ``--no-cache``, and the run store as its journal.
+    """
+    jobs = getattr(args, "jobs", 1)
+    return SweepRunner(
+        jobs=jobs if jobs > 0 else default_jobs(),
+        cache=None if args.no_cache else DEFAULT_CACHE,
+        progress=_progress,
+        timeout=getattr(args, "cell_timeout", None),
+        retries=getattr(args, "retries", 1),
+        journal=store,
+    )
+
+
+def _run_body(command, body, runner):
+    """``body(runner)``'s exit code, or 3 if any cell of the last
+    ``runner.run`` was quarantined (the report names them)."""
+    rc = body(runner)
+    if not runner.report.ok:
+        _progress("%s incomplete: %s" % (command, runner.report.summary()))
+        rc = rc or 3
+    return rc
 
 
 def _run_study(args, command, body):
     """Drive one study command under the run store.
 
-    ``body(store)`` does the actual work and returns the exit code;
-    ``store`` is ``None`` when journaling is disabled
+    ``body(runner)`` does the actual work on the study's
+    :class:`SweepRunner` and returns the exit code; ``runner.journal``
+    is the run store, or ``None`` when journaling is disabled
     (``--no-runstore``).  Otherwise the study gets a crash-safe run
     directory (journal + manifest + lock), SIGINT/SIGTERM are turned
     into a clean checkpoint (status ``interrupted``, exit
@@ -185,7 +216,7 @@ def _run_study(args, command, body):
     run arrives with the store pre-opened in ``args._store``.
     """
     if getattr(args, "no_runstore", False):
-        return body(None)
+        return _run_body(command, body, _study_runner(args, None))
     store = getattr(args, "_store", None)
     if store is None:
         recorded = {
@@ -204,7 +235,7 @@ def _run_study(args, command, body):
           file=sys.stderr)
     try:
         with GracefulShutdown():
-            rc = body(store)
+            rc = _run_body(command, body, _study_runner(args, store))
     except ShutdownRequested as exc:
         print("[repro] %s received; run %s checkpointed -- resume "
               "with: repro-affinity runs resume %s"
@@ -275,7 +306,6 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
-    cache = None if args.no_cache else DEFAULT_CACHE
     sizes = tuple(args.sizes)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
@@ -288,16 +318,7 @@ def cmd_sweep(args):
                   file=sys.stderr)
             return 2
 
-    def body(store):
-        runner = SweepRunner(
-            jobs=args.jobs if args.jobs > 0 else default_jobs(),
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            journal=store,
-        )
+    def body(runner):
         sweep = run_size_sweep(
             args.direction,
             sizes=sizes,
@@ -318,23 +339,18 @@ def cmd_sweep(args):
             + "\n"
         )
         print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
-        if not runner.report.ok:
-            print("[repro] sweep incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
+        if runner.journal is not None:
+            runner.journal.write_artifact("report.txt", report)
         return 0
 
     return _run_study(args, "sweep", body)
 
 
 def cmd_scale(args):
-    cache = None if args.no_cache else DEFAULT_CACHE
     cpus = tuple(args.cpus_list)
     sizes = tuple(args.sizes)
     if args.coalesce_sweep:
-        return _cmd_coalesce(args, cache)
+        return _cmd_coalesce(args)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
         if mode not in SCALE_MODES:
@@ -349,16 +365,8 @@ def cmd_scale(args):
               % (min(conns), args.queues), file=sys.stderr)
         return 2
     conn_axis = conns if len(conns) > 1 else None
-    def body(store):
-        runner = SweepRunner(
-            jobs=args.jobs if args.jobs > 0 else default_jobs(),
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            journal=store,
-        )
+
+    def body(runner):
         sweep = run_scale_sweep(
             args.direction,
             cpus=cpus,
@@ -401,20 +409,16 @@ def cmd_scale(args):
                     stored_lines.append(line)
         report = "\n".join(lines) + "\n"
         print(report, end="")
-        if store is not None:
-            store.write_artifact(
+        if runner.journal is not None:
+            runner.journal.write_artifact(
                 "report.txt", "\n".join(stored_lines) + "\n"
             )
-        if not runner.report.ok:
-            print("[repro] scale sweep incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
         return 0
 
     return _run_study(args, "scale", body)
 
 
-def _cmd_coalesce(args, cache):
+def _cmd_coalesce(args):
     """The ``scale --coalesce-sweep`` axis: ITR timer x throttle
     variant under the contended Flow Director configuration."""
     grid = tuple(args.coalesce_us)
@@ -436,8 +440,7 @@ def _cmd_coalesce(args, cache):
     size = args.sizes[0] if len(args.sizes) == 1 else 16384
     n_cpus = max(args.cpus_list)
 
-    def body(store):
-        progress = lambda msg: print("[repro] %s" % msg, file=sys.stderr)
+    def body(runner):
         sweep = run_coalesce_sweep(
             direction=args.direction,
             message_size=size,
@@ -449,16 +452,14 @@ def _cmd_coalesce(args, cache):
             warmup_ms=args.warmup_ms,
             measure_ms=args.measure_ms,
             seed=args.seed,
-            cache=cache,
-            progress=progress,
-            journal=store,
+            runner=runner,
         )
         report = render_coalesce_table(
             sweep, grid, variants, args.direction, args.queues
         ) + "\n"
         print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
+        if runner.journal is not None:
+            runner.journal.write_artifact("report.txt", report)
         return 0
 
     return _run_study(args, "coalesce", body)
@@ -478,9 +479,8 @@ def cmd_offload(args):
         print("[repro] --modes needs at least a baseline and a "
               "comparison mode", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else DEFAULT_CACHE
 
-    def body(store):
+    def body(runner):
         study = run_offload_study(
             modes=modes,
             directions=tuple(args.directions),
@@ -491,17 +491,14 @@ def cmd_offload(args):
             warmup_ms=args.warmup_ms,
             measure_ms=args.measure_ms,
             seed=args.seed,
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            journal=store,
+            runner=runner,
         )
         report = render_offload_table(
             study, modes, directions=tuple(args.directions)
         ) + "\n"
         print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
+        if runner.journal is not None:
+            runner.journal.write_artifact("report.txt", report)
         return 0
 
     return _run_study(args, "offload", body)
@@ -531,20 +528,8 @@ def cmd_diagnose(args):
         print("[repro] --factor must be > 1 (costs only scale up)",
               file=sys.stderr)
         return 2
-    cache = None if args.no_cache else DEFAULT_CACHE
 
-    def body(store):
-        runner = None
-        if args.jobs != 1:
-            runner = SweepRunner(
-                jobs=args.jobs if args.jobs > 0 else default_jobs(),
-                cache=cache,
-                progress=lambda msg: print("[repro] %s" % msg,
-                                           file=sys.stderr),
-                timeout=args.cell_timeout,
-                retries=args.retries,
-                journal=store,
-            )
+    def body(runner):
         report = run_diagnosis(
             directions=(args.direction,),
             modes=modes,
@@ -558,11 +543,7 @@ def cmd_diagnose(args):
             seed=args.seed,
             steps=args.steps,
             sustain_frac=args.sustain,
-            cache=cache,
             runner=runner,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            runstore=store,
         )
         print(render_diagnosis(report))
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
@@ -585,12 +566,8 @@ def cmd_diagnose(args):
             # artifact below may still land elsewhere).
             print("[repro] could not write %s (%s); continuing"
                   % (out, exc), file=sys.stderr)
-        if store is not None:
-            store.write_artifact("diagnosis.json", text)
-        if runner is not None and not runner.report.ok:
-            print("[repro] diagnosis incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
+        if runner.journal is not None:
+            runner.journal.write_artifact("diagnosis.json", text)
         incomplete = any(
             b.get("failed") for b in report["baselines"].values()
         ) or any(c["perturbed_gbps"] is None for c in report["cells"])
@@ -612,7 +589,7 @@ def cmd_trace(args):
     # result); no need to consult --no-cache.
     result = run_experiment(
         _config(args, args.affinity),
-        progress=lambda msg: print("[repro] %s" % msg, file=sys.stderr),
+        progress=_progress,
     )
     events = result.tracer.events()
     trace = result["trace"]

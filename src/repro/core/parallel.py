@@ -1,4 +1,4 @@
-"""Parallel, fault-tolerant experiment sweeps.
+"""The one cell-execution path: parallel, fault-tolerant sweeps.
 
 Every paper artefact is regenerated from sweeps of independent
 experiment cells (direction x size x mode x seed).  Cells share no
@@ -8,16 +8,21 @@ and all randomness is derived from the config seed via
 parallel, and a parallel run must produce *byte-identical*
 ``ExperimentResult.to_dict()`` payloads to a serial one.
 
-:class:`SweepRunner` shards cells across a ``ProcessPoolExecutor``:
+Every study driver (:func:`~repro.core.metrics.run_size_sweep`, the
+scale/coalesce/offload sweeps, :mod:`repro.core.repeat` and
+:mod:`repro.diagnose`) hands its cells to one :class:`SweepRunner`,
+passed as ``runner=``.  The runner optionally shards cells across a
+``ProcessPoolExecutor``:
 
 * **In-flight dedup** -- configs with the same cache key are simulated
   once, however many times they appear in the request.
-* **Write-through caching** -- each worker writes its result into the
-  shared on-disk :class:`~repro.core.experiment.ResultCache`
-  (whose atomic puts make concurrent writers safe), and the parent
-  seeds its in-memory layer from the returned payload.
+* **Single writer** -- workers only simulate: they take a config dict
+  and return a payload dict, touching neither the result cache nor
+  the journal.  The parent persists each fresh cell exactly once, in
+  :meth:`SweepRunner._store`: journal first, then cache.
 * **Serial fallback** -- ``jobs=1`` runs everything in-process with no
-  executor, byte-identical to the parallel path.
+  executor, byte-identical to the parallel path and under the same
+  failure contract.
 * **Fault tolerance** -- one cell raising (an invariant violation, a
   bad cost override) or hanging (a runaway simulation) no longer
   throws away every other in-flight cell.  Each cell runs under a
@@ -58,7 +63,6 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.core.experiment import (
     ExperimentConfig,
     ExperimentResult,
-    ResultCache,
     run_experiment,
 )
 
@@ -125,20 +129,19 @@ class _Watchdog:
         return False
 
 
-def _run_cell(config_dict, cache_dir, timeout=None):
+def _run_cell(config_dict, timeout=None):
     """Simulate one cell in a worker process.
 
     Module-level so the executor can pickle it.  Takes and returns
-    plain dicts; the worker writes through to the shared disk cache
-    itself so progress survives even if the parent is killed.  Never
-    raises: failures come back as ``{"ok": False, ...}`` envelopes so
-    a bad cell cannot poison the pool.
+    plain dicts and persists nothing: the parent is the only writer of
+    the journal and the result cache.  Never raises: failures come
+    back as ``{"ok": False, ...}`` envelopes so a bad cell cannot
+    poison the pool.
     """
     config = ExperimentConfig(**config_dict)
-    cache = ResultCache(cache_dir) if cache_dir else None
     try:
         with _Watchdog(timeout, config.label()):
-            result = run_experiment(config, cache=cache)
+            result = run_experiment(config)
     except CellTimeout as exc:
         return {"ok": False, "kind": "timeout", "error": str(exc)}
     except Exception as exc:
@@ -149,9 +152,7 @@ def _run_cell(config_dict, cache_dir, timeout=None):
         }
     # Live-run-only attributes ride outside the payload (they must not
     # enter hashes or cache keys); ship them as a sidecar so the scale
-    # report's resources table works under parallel sweeps too.  A
-    # worker-side cache hit legitimately has none -- the sidecar is
-    # all-None and the table renders "--".
+    # report's resources table works under parallel sweeps too.
     live = {
         name: getattr(result, name, None)
         for name in ("wall_s", "peak_rss_kb", "events_fired",
@@ -211,9 +212,9 @@ class SweepRunner:
         Worker processes.  ``1`` runs serially in-process (no
         executor); ``None`` uses :func:`default_jobs`.
     cache:
-        A :class:`ResultCache` consulted before running and written
-        through afterwards.  Workers share its *directory*; the
-        parent's in-memory layer is seeded as results arrive.
+        A :class:`~repro.core.experiment.ResultCache` consulted
+        before running and written by the parent after each fresh
+        result (workers never touch it).
     progress:
         Optional callback receiving human-readable status strings
         (``cached tx-128-none``, ``running tx-128-full``, ``done 3/8
@@ -234,6 +235,9 @@ class SweepRunner:
         run already executed the cell, so it is replayed, never
         re-run.  Every freshly executed result is recorded durably
         before the cache write.
+
+    The study drivers default to ``SweepRunner(jobs=1)``: serial,
+    uncached and unjournaled.
 
     After each ``run()``, :attr:`report` is the
     :class:`FailureReport`; failed cells occupy their result slots as
@@ -335,6 +339,7 @@ class SweepRunner:
         return results
 
     def _store(self, key, config, result, slots, results):
+        # The only place a cell is persisted, serial or parallel.
         # Journal first: the durable run record must never trail the
         # (best-effort) cache, or a crash between the two writes would
         # lose the cell from the resume path.
@@ -384,7 +389,6 @@ class SweepRunner:
 
     def _run_parallel(self, pending, slots, results, failures):
         total = len(pending)
-        cache_dir = self.cache.directory if self.cache is not None else None
         workers = min(self.jobs, total)
         executor = ProcessPoolExecutor(max_workers=workers)
         inflight = {}  # future -> (key, config, attempt, deadline)
@@ -395,7 +399,7 @@ class SweepRunner:
         def submit(key, config, attempt):
             self._say_running(config, attempt)
             future = executor.submit(
-                _run_cell, config.to_dict(), cache_dir, self.timeout
+                _run_cell, config.to_dict(), self.timeout
             )
             deadline = (
                 time.monotonic() + self.timeout + WATCHDOG_GRACE

@@ -10,8 +10,9 @@ comparison.
 
 import math
 
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import dedupe_cells
+from repro.core.parallel import SweepRunner
 
 
 class Summary:
@@ -43,28 +44,29 @@ class Summary:
             self.mean, self.stdev, len(self.values))
 
 
-def _run_batch(configs, cache=None, progress=None, jobs=None):
-    """Run a list of configs serially or via a parallel SweepRunner."""
-    if jobs is not None and jobs != 1:
-        from repro.core.parallel import SweepRunner
-
-        return SweepRunner(jobs=jobs, cache=cache, progress=progress).run(
-            configs
+def _run_all(configs, runner):
+    """Every config's result; a summary over a partial set of seeds
+    would silently change its meaning, so any failed cell raises."""
+    runner = runner or SweepRunner(jobs=1)
+    results = runner.run(configs)
+    if not runner.report.ok:
+        raise RuntimeError(
+            "replication incomplete: %s" % runner.report.summary()
         )
-    return [
-        run_experiment(config, cache=cache, progress=progress)
-        for config in configs
-    ]
+    return results
 
 
 def replicate(config, seeds=(3, 5, 7, 11), metric="throughput_gbps",
-              cache=None, progress=None, jobs=None):
+              runner=None):
     """Run ``config`` under each seed; returns a :class:`Summary`.
 
-    ``metric`` is an :class:`ExperimentResult` attribute name; ``jobs``
-    > 1 fans the per-seed runs out across worker processes.  Repeated
-    seeds are collapsed (with a ``RuntimeWarning``) rather than counted
-    twice in the summary.
+    ``metric`` is an :class:`ExperimentResult` attribute name.
+    ``runner`` is the :class:`~repro.core.parallel.SweepRunner` that
+    executes the per-seed cells (default ``SweepRunner(jobs=1)``:
+    serial, uncached, unjournaled).  A cell that fails despite the
+    runner's retries raises ``RuntimeError`` naming the failed cells
+    from ``runner.report``.  Repeated seeds are collapsed (with a
+    ``RuntimeWarning``) rather than counted twice in the summary.
     """
     seeds = dedupe_cells(seeds, axes="seeds")
     base = config.to_dict()
@@ -72,22 +74,22 @@ def replicate(config, seeds=(3, 5, 7, 11), metric="throughput_gbps",
     for seed in seeds:
         base["seed"] = seed
         configs.append(ExperimentConfig(**base))
-    results = _run_batch(configs, cache=cache, progress=progress, jobs=jobs)
+    results = _run_all(configs, runner)
     return Summary([getattr(result, metric) for result in results])
 
 
 def gain_statistics(direction, message_size, mode, baseline="none",
-                    seeds=(3, 5, 7, 11), cache=None, progress=None,
-                    jobs=None, **config_kwargs):
+                    seeds=(3, 5, 7, 11), runner=None, **config_kwargs):
     """Throughput gain of ``mode`` over ``baseline``, per seed.
 
     Returns a :class:`Summary` of the fractional gains, so callers can
     assert e.g. that the affinity benefit is positive for *every* seed
-    rather than on average.  ``jobs`` > 1 runs the (seed x mode) grid
-    in parallel.  Duplicate ``(seed, affinity)`` cells -- repeated
-    seeds, or ``mode == baseline`` -- are collapsed with a
-    ``RuntimeWarning`` instead of double-counting seeds in the summary
-    (``dict(zip(pairs, results))`` kept only the last duplicate).
+    rather than on average.  ``runner`` executes the (seed x mode)
+    grid and failed cells raise, as in :func:`replicate`.  Duplicate
+    ``(seed, affinity)`` cells -- repeated seeds, or ``mode ==
+    baseline`` -- are collapsed with a ``RuntimeWarning`` instead of
+    double-counting seeds in the summary (``dict(zip(pairs,
+    results))`` kept only the last duplicate).
     """
     seeds = dedupe_cells(seeds, axes="seeds")
     pairs = dedupe_cells(
@@ -104,7 +106,7 @@ def gain_statistics(direction, message_size, mode, baseline="none",
         )
         for seed, affinity in pairs
     ]
-    results = _run_batch(configs, cache=cache, progress=progress, jobs=jobs)
+    results = _run_all(configs, runner)
     by_cell = dict(zip(pairs, results))
     gains = [
         by_cell[(seed, mode)].throughput_gbps

@@ -15,7 +15,8 @@ happen at all, which is also the regime real servers run in.
 """
 
 from repro.core.experiment import ExperimentConfig
-from repro.core.metrics import _serial_flat, dedupe_cells
+from repro.core.metrics import dedupe_cells
+from repro.core.parallel import SweepRunner
 
 #: Machine sizes the study sweeps (the tentpole's n_cpus axis).
 SCALE_CPUS = (2, 4, 8, 16)
@@ -48,20 +49,16 @@ def run_scale_sweep(
     n_connections=16,
     connections=None,
     aggregation="auto",
-    cache=None,
-    progress=None,
-    jobs=None,
     runner=None,
-    journal=None,
     **config_kwargs
 ):
     """Run the (n_cpus x size x mode) multi-queue grid.
 
-    Mirrors :func:`repro.core.metrics.run_size_sweep`: ``jobs`` > 1
-    shards across a :class:`~repro.core.parallel.SweepRunner`;
-    ``runner`` supplies a pre-built one (per-cell timeout/retries,
-    ``runner.report`` afterwards), and cells that failed despite
-    retries map to ``None``.
+    ``runner`` follows :func:`repro.core.metrics.run_size_sweep`: the
+    :class:`~repro.core.parallel.SweepRunner` that executes the cells
+    (default ``SweepRunner(jobs=1)``: serial, uncached, unjournaled).
+    Cells that failed despite retries map to ``None`` and are named
+    in ``runner.report``.
 
     ``connections`` adds the flow-population axis: a sequence of flow
     counts (e.g. :data:`SCALE_CONNECTIONS`) extends the grid to
@@ -112,18 +109,7 @@ def run_scale_sweep(
         )
         for n_cpus, size, mode, n_conn in expanded
     ]
-    if runner is not None:
-        flat = runner.run(configs)
-    elif jobs is not None and jobs != 1:
-        from repro.core.parallel import SweepRunner
-
-        runner = SweepRunner(jobs=jobs, cache=cache, progress=progress,
-                             journal=journal)
-        flat = runner.run(configs)
-    else:
-        flat = _serial_flat(configs, cache=cache, progress=progress,
-                            journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
 def coalesce_overrides(coalesce_us, variant):
@@ -152,9 +138,7 @@ def run_coalesce_sweep(
     warmup_ms=2,
     measure_ms=3,
     seed=7,
-    cache=None,
-    progress=None,
-    journal=None,
+    runner=None,
     **config_kwargs
 ):
     """Run the (coalesce_us x throttle-variant) grid under Flow Director.
@@ -170,6 +154,10 @@ def run_coalesce_sweep(
     stretches to 4x the base) lets it grow, and the absorb variant
     holds the old queue's IRQ across the retarget window to soak the
     reorder up again.
+
+    ``runner`` follows :func:`repro.core.metrics.run_size_sweep`
+    (default ``SweepRunner(jobs=1)``; failed cells map to ``None`` and
+    are named in ``runner.report``).
 
     Returns ``{(coalesce_us, variant): ExperimentResult}``; read each
     cell's ``result["steering"]`` for ``dup_acks_out`` /
@@ -196,9 +184,7 @@ def run_coalesce_sweep(
         )
         for us, variant in cells
     ]
-    flat = _serial_flat(configs, cache=cache, progress=progress,
-                        journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
 def scaling_efficiency(sweep, sizes, cpus, mode, n_conn=None):

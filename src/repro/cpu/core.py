@@ -126,9 +126,10 @@ class Cpu:
         self._skid_acc = 0
         #: Busy-cycle snapshot taken by the machine's load-tracking tick.
         self._busy_at_last_tick = 0
-        #: Everything :meth:`_access_range` needs, packed into one tuple
-        #: so the hot path pays a single attribute load + unpack instead
-        #: of ~20 attribute lookups per call.  Safe to freeze here: the
+        #: Everything the fused data walks (:meth:`_read_range`,
+        #: :meth:`_write_range`) need, packed into one tuple so the hot
+        #: path pays a single attribute load + unpack instead of ~20
+        #: attribute lookups per call.  Safe to freeze here: the
         #: caches' ``_sets`` lists, the directory dict and the cost
         #: constants are never reassigned after construction (``flush``
         #: and friends mutate in place), and ``domain`` is final once
@@ -362,18 +363,15 @@ class Cpu:
         )
         return cycles
 
-    def _access_range(self, addr, size, is_write):
-        """Walk one byte range through the hierarchy at line granularity.
+    def _read_range(self, addr, size):
+        """Read walk of one byte range through the hierarchy at line
+        granularity.
 
-        Dispatches to the specialised :meth:`_read_range` /
-        :meth:`_write_range` loops; kept as the documented entry point
-        (and for callers that have ``is_write`` as data).
-
-        Both loops are fused forms of the historical line-at-a-time
-        walk: one Python loop drives all three levels (and, for writes,
-        the directory-exclusivity step), operating directly on the
-        caches' set lists instead of calling ``access`` per line per
-        level.  They are bit-identical to that walk -- an L1 hit never
+        This loop and :meth:`_write_range` are fused forms of the
+        historical line-at-a-time walk: one Python loop drives all
+        three levels (and, for writes, the directory-exclusivity step),
+        operating directly on the caches' set lists instead of calling
+        ``access`` per line per level.  They are bit-identical to that walk -- an L1 hit never
         touches L2; each level still sees its accesses in the same line
         order; ``access`` fills on miss (so explicit back-fills were
         no-ops); an already-MRU hit's LRU move is a no-op; directory
@@ -400,12 +398,6 @@ class Cpu:
         between them within one charge cannot affect results) and
         return ``(llc_misses, l2_hits, l3_hits, cycles, dtlb_walks)``.
         """
-        if is_write:
-            return self._write_range(addr, size)
-        return self._read_range(addr, size)
-
-    def _read_range(self, addr, size):
-        """Read walk; see :meth:`_access_range` for the model notes."""
         (l1, l2, l3,
          sets1, mask1, ways1,
          sets2, mask2, ways2,
@@ -547,7 +539,7 @@ class Cpu:
     def _write_range(self, addr, size):
         """Write walk with the exclusivity step fused per line.
 
-        See :meth:`_access_range` for the model notes.  Relative to the
+        See :meth:`_read_range` for the model notes.  Relative to the
         read loop, every line additionally acquires write ownership:
         the historical separate directory pass is folded in (legal
         because ``make_exclusive`` never touches this domain's caches),

@@ -28,13 +28,13 @@ final (knob x direction x mode) perturbation grid is a single batch.
 
 from repro.core.characterization import STACK_BINS, characterize
 from repro.core.experiment import ExperimentConfig
+from repro.core.parallel import SweepRunner
 from repro.diagnose.perturb import resolve_knobs
 from repro.diagnose.saturation import (
     DEFAULT_HI_MARGIN,
     DEFAULT_STEPS,
     DEFAULT_SUSTAIN_FRAC,
     SaturationSearch,
-    run_cells,
 )
 
 #: The perturbation severity: each knob's cost is scaled by this much
@@ -67,10 +67,7 @@ def run_diagnosis(
     steps=DEFAULT_STEPS,
     sustain_frac=DEFAULT_SUSTAIN_FRAC,
     hi_margin=DEFAULT_HI_MARGIN,
-    cache=None,
     runner=None,
-    progress=None,
-    runstore=None,
     **config_kwargs
 ):
     """Run the full diagnosis grid; returns the plain-data report.
@@ -80,13 +77,16 @@ def run_diagnosis(
     decimals, and the report carries no wall-clock state -- the same
     call produces byte-identical JSON.
 
-    Failed cells (quarantined by the runner, or raising serially)
-    degrade to ``None`` fields instead of aborting: a knob whose
-    perturbed run died is reported unranked, and a (direction, mode)
-    whose ceiling probe died carries a failed baseline.
+    ``runner`` is the :class:`~repro.core.parallel.SweepRunner` that
+    executes every wave and the perturbation grid (default
+    ``SweepRunner(jobs=1)``: serial, uncached, unjournaled).  Failed
+    cells (quarantined by the runner, serial or parallel) degrade to
+    ``None`` fields instead of aborting: a knob whose perturbed run
+    died is reported unranked, and a (direction, mode) whose ceiling
+    probe died carries a failed baseline.
 
-    With a ``runstore`` (:class:`repro.runstore.RunStore`), every
-    executed cell is journaled durably and each search's
+    With a ``runner.journal`` (a :class:`repro.runstore.RunStore`),
+    every executed cell is journaled durably and each search's
     :meth:`~repro.diagnose.saturation.SaturationSearch.state_dict` is
     checkpointed after every lockstep wave.  An interrupted diagnosis
     resumed against the same journal replays the already-executed
@@ -94,6 +94,8 @@ def run_diagnosis(
     function of cell results, the resumed run re-derives the same
     waves and the final report is byte-identical.
     """
+    runner = runner or SweepRunner(jobs=1)
+    journal = runner.journal
     specs = resolve_knobs(knobs)
     keys = [(d, m) for d in directions for m in modes]
     searches = {}
@@ -116,28 +118,25 @@ def run_diagnosis(
 
     # Phase 1: lockstep bisection waves across all (direction, mode)
     # searches -- one sharded batch per wave.
-    journal = runstore  # duck-typed lookup_cell/record_cell provider
     wave = 0
     while True:
         live = [(key, s) for key, s in searches.items() if not s.done]
         if not live:
             break
         wave += 1
-        if progress:
-            progress(
+        if runner.progress:
+            runner.progress(
                 "saturation wave %d: %d probe(s)" % (wave, len(live))
             )
-        batch = [s.next_config() for _, s in live]
-        results = run_cells(batch, cache=cache, runner=runner,
-                            progress=progress, journal=journal)
+        results = runner.run([s.next_config() for _, s in live])
         for (_, s), result in zip(live, results):
             s.observe(result)
-        if runstore is not None:
-            runstore.record_wave(
+        if journal is not None:
+            journal.record_wave(
                 wave,
                 {"%s/%s" % key: s.state_dict() for key, s in live},
             )
-            runstore.checkpoint()
+            journal.checkpoint()
 
     # Phase 2: the (knob x direction x mode) perturbation grid, one
     # batch.  Each cell re-runs the closed-loop (saturated) config with
@@ -159,11 +158,10 @@ def run_diagnosis(
             grid.append(
                 (spec, key, ExperimentConfig(**kwargs), effective, patch)
             )
-    if progress:
-        progress("perturbation grid: %d cell(s)" % len(grid))
+    if runner.progress:
+        runner.progress("perturbation grid: %d cell(s)" % len(grid))
     configs = [c for _, _, c, _, _ in grid if c is not None]
-    flat = iter(run_cells(configs, cache=cache, runner=runner,
-                          progress=progress, journal=journal))
+    flat = iter(runner.run(configs))
     results = [
         None if c is None else next(flat) for _, _, c, _, _ in grid
     ]

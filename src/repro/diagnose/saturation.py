@@ -20,11 +20,8 @@ many of them in lockstep waves so independent (direction, mode)
 searches bisect in parallel.
 """
 
-from repro.core.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.core.experiment import ExperimentConfig, ExperimentResult
+from repro.core.parallel import SweepRunner
 
 #: Bisection steps after the ceiling probe: each halves the bracket,
 #: so 6 steps place saturation within ~2% of the capacity ceiling.
@@ -204,62 +201,24 @@ class SaturationSearch:
         }
 
 
-def run_cells(configs, cache=None, runner=None, progress=None,
-              journal=None):
-    """Run a batch of cells, returning results with ``None`` holes.
-
-    With a :class:`~repro.core.parallel.SweepRunner` this is one
-    sharded, fault-tolerant wave (the runner carries its own journal);
-    serially, a failing cell is caught and mapped to ``None`` to
-    mirror the runner's quarantine contract, and ``journal`` (a
-    :class:`repro.runstore.RunStore`) replays cells an interrupted
-    session already executed and records fresh ones durably.
-    """
-    if runner is not None:
-        return runner.run(configs)
-    out = []
-    for config in configs:
-        if journal is not None:
-            hit = journal.lookup_cell(config)
-            if hit is not None:
-                if progress:
-                    progress("replayed %s (journal)" % config.label())
-                out.append(hit)
-                continue
-        try:
-            result = run_experiment(config, cache=cache,
-                                    progress=progress)
-        except Exception as exc:  # mirror SweepRunner: hole, not abort
-            if progress:
-                progress("cell %s failed: %s" % (config.label(), exc))
-            out.append(None)
-            continue
-        if journal is not None:
-            journal.record_cell(config, result)
-        out.append(result)
-    return out
-
-
 def find_saturation(config, steps=DEFAULT_STEPS,
                     sustain_frac=DEFAULT_SUSTAIN_FRAC,
-                    hi_margin=DEFAULT_HI_MARGIN,
-                    cache=None, runner=None, progress=None,
-                    journal=None):
+                    hi_margin=DEFAULT_HI_MARGIN, runner=None):
     """Find the saturation point of one closed-loop ``config``.
 
     Returns the :meth:`SaturationSearch.summary` dict.  Deterministic:
     the probe schedule is a pure function of the (seeded) simulation
     results, and every probe is itself a cache-key-stable
-    ExperimentConfig.
+    ExperimentConfig.  ``runner`` executes the probes (default
+    ``SweepRunner(jobs=1)``: serial, uncached, unjournaled); a probe
+    that fails despite retries observes as ``None``.
     """
+    runner = runner or SweepRunner(jobs=1)
     search = SaturationSearch(
         config, steps=steps, sustain_frac=sustain_frac,
         hi_margin=hi_margin,
     )
     while not search.done:
-        result = run_cells(
-            [search.next_config()], cache=cache, runner=runner,
-            progress=progress, journal=journal,
-        )[0]
+        (result,) = runner.run([search.next_config()])
         search.observe(result)
     return search.summary()

@@ -20,6 +20,9 @@ from repro.core.experiment import (
 )
 from repro.core.metrics import run_size_sweep
 from repro.core.parallel import SweepRunner, default_jobs
+from repro.runstore import RunStore
+from repro.runstore.journal import RunJournal
+from repro.runstore.store import JOURNAL_NAME
 
 
 def _tiny(**overrides):
@@ -214,13 +217,59 @@ class TestSweepRunner:
         serial = run_size_sweep("tx", **kw)
         parallel = run_size_sweep(
             "tx",
-            cache=ResultCache(directory=str(tmp_path)),
-            jobs=2,
+            runner=SweepRunner(
+                jobs=2, cache=ResultCache(directory=str(tmp_path))
+            ),
             **kw
         )
         assert serial.keys() == parallel.keys()
         for cell in serial:
             assert _canon(serial[cell]) == _canon(parallel[cell])
+
+
+# ---------------------------------------------------------------------------
+# Single writer: the parent journals, then caches, each cell exactly once
+# ---------------------------------------------------------------------------
+
+
+class TestPersistenceOrder:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journal_before_cache_once_per_key(self, tmp_path, monkeypatch,
+                                               jobs):
+        store = RunStore.create("sweep", root=str(tmp_path / "runs"))
+        journal_path = os.path.join(store.directory, JOURNAL_NAME)
+        put_log = str(tmp_path / "puts.log")
+        put = ResultCache.put
+
+        def logged_put(cache, config, result):
+            # A file, not a list: forked workers inherit this wrapper,
+            # and their calls must be visible to the parent too.
+            journaled = config.key() in RunJournal.load(journal_path).cells
+            with open(put_log, "a") as fh:
+                fh.write("%s %d\n" % (config.key(), journaled))
+            put(cache, config, result)
+
+        monkeypatch.setattr(ResultCache, "put", logged_put)
+        runner = SweepRunner(
+            jobs=jobs, cache=ResultCache(str(tmp_path / "cache")),
+            journal=store,
+        )
+        sweep = run_size_sweep(
+            "tx", sizes=(1024,), modes=("none", "full"), runner=runner,
+            n_connections=2, warmup_ms=1, measure_ms=2, seed=3,
+        )
+        store.finalize("completed")
+        assert all(r is not None for r in sweep.values())
+        keys = sorted(
+            _tiny(message_size=size, affinity=mode).key()
+            for size, mode in sweep
+        )
+        with open(put_log) as fh:
+            puts = [line.split() for line in fh]
+        # Every put saw its key already journaled on disk...
+        assert all(journaled == "1" for _, journaled in puts), puts
+        # ...and each key was cached exactly once.
+        assert sorted(key for key, _ in puts) == keys
 
 
 # ---------------------------------------------------------------------------

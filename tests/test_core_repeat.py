@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.experiment import ExperimentConfig
+from repro.core.parallel import SweepRunner
 from repro.core.repeat import Summary, gain_statistics, replicate
 
 
@@ -74,7 +75,7 @@ class TestDuplicateSeedDedupe:
             return _FakeResult(config)
 
         monkeypatch.setattr(
-            "repro.core.repeat.run_experiment", fake_run_experiment
+            "repro.core.parallel.run_experiment", fake_run_experiment
         )
         return calls
 
@@ -124,3 +125,34 @@ class TestDuplicateSeedDedupe:
             )
         assert len(fake_runs) == 1
         assert summary.values == [0.0]
+
+
+class TestFailedCells:
+    """A failed cell must not surface as whatever the summary math
+    trips over (``ValueError`` serially, ``AttributeError`` on a
+    ``None`` hole in parallel): both raise one ``RuntimeError`` that
+    names the failed cells from ``runner.report``."""
+
+    TINY = dict(n_connections=2, warmup_ms=1, measure_ms=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicate_raises_naming_failed_cells(self, jobs):
+        # Flow Director needs a multi-queue NIC: every seed fails.
+        config = ExperimentConfig(direction="tx", message_size=1024,
+                                  affinity="flow-director", **self.TINY)
+        runner = SweepRunner(jobs=jobs, retries=0)
+        with pytest.raises(RuntimeError, match="tx-1024-flow-director"):
+            replicate(config, seeds=(3, 5), runner=runner)
+        assert len(runner.report.failures) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_gain_statistics_raises_naming_failed_cells(self, jobs):
+        runner = SweepRunner(jobs=jobs, retries=0)
+        with pytest.raises(RuntimeError) as info:
+            gain_statistics("tx", 1024, "flow-director", seeds=(3,),
+                            runner=runner, **self.TINY)
+        # Only the flow-director cell failed; the baseline ran.
+        (failure,) = runner.report.failures
+        assert failure.label == "tx-1024-flow-director"
+        assert failure.label in str(info.value)
+        assert "tx-1024-none" not in str(info.value)

@@ -21,8 +21,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALE_ARGS = [
     "scale", "--cpus", "2", "4", "--sizes", "4096", "16384",
     "--modes", "rss", "--queues", "2", "--connections", "4",
-    "--warmup-ms", "1", "--measure-ms", "2", "--jobs", "1",
-    "--no-cache",
+    "--warmup-ms", "1", "--measure-ms", "2", "--no-cache",
 ]
 SCALE_CELLS = 4
 
@@ -60,10 +59,15 @@ def _count_cells(journal_path):
 
 def _spawn_and_signal(args, env, journal_path, min_cells, signum):
     """Start a study subprocess, wait for ``min_cells`` journal
-    records, deliver ``signum``; returns (journaled_at_kill, rc)."""
+    records, deliver ``signum``; returns (journaled_at_kill, rc).
+
+    The study runs in its own process group and SIGKILL goes to the
+    whole group: a parallel study's pool workers die with it, as in a
+    power loss, instead of outliving their parent."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli"] + args,
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 240
     while time.monotonic() < deadline:
@@ -73,7 +77,10 @@ def _spawn_and_signal(args, env, journal_path, min_cells, signum):
             break  # finished before we could interrupt: handled below
         time.sleep(0.05)
     try:
-        proc.send_signal(signum)
+        if signum == signal.SIGKILL:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
     except ProcessLookupError:
         pass
     rc = proc.wait(timeout=120)
@@ -88,11 +95,13 @@ def _manifest(tmp_path, run_id):
 
 
 class TestScaleCrashResume:
-    def test_sigkill_resume_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sigkill_resume_byte_identical(self, tmp_path, jobs):
         env = _env(tmp_path)
+        args = SCALE_ARGS + ["--jobs", jobs]
         journal = tmp_path / "runs" / "crash" / "journal.jsonl"
         journaled, rc = _spawn_and_signal(
-            SCALE_ARGS + ["--run-id", "crash"], env, str(journal),
+            args + ["--run-id", "crash"], env, str(journal),
             min_cells=2, signum=signal.SIGKILL,
         )
         assert journaled >= 1, "nothing journaled before the kill"
@@ -100,7 +109,7 @@ class TestScaleCrashResume:
         resume = _cli(["runs", "resume", "crash"], env)
         assert resume.returncode == 0, resume.stderr
 
-        baseline = _cli(SCALE_ARGS + ["--run-id", "base"], env)
+        baseline = _cli(args + ["--run-id", "base"], env)
         assert baseline.returncode == 0, baseline.stderr
 
         crash_report = (tmp_path / "runs" / "crash" / "report.txt")
@@ -118,8 +127,8 @@ class TestScaleCrashResume:
         env = _env(tmp_path)
         journal = tmp_path / "runs" / "t" / "journal.jsonl"
         journaled, rc = _spawn_and_signal(
-            SCALE_ARGS + ["--run-id", "t"], env, str(journal),
-            min_cells=1, signum=signal.SIGTERM,
+            SCALE_ARGS + ["--jobs", "1", "--run-id", "t"], env,
+            str(journal), min_cells=1, signum=signal.SIGTERM,
         )
         if journaled >= SCALE_CELLS and rc == 0:
             pytest.skip("sweep finished before SIGTERM landed")

@@ -251,3 +251,21 @@ def test_toe_shrinks_bins_vs_full_affinity_at_matched_load():
         cells = [c.strip() for c in line.split("|")]
         if cells and cells[0] in ("Copies", "Interface", "Engine"):
             assert cells[-1].startswith("-"), line
+
+
+def test_offload_cli_failed_cell_renders_fail_and_exits_3(capsys):
+    """A serial study keeps the runner's failure contract: a cell that
+    raises (Flow Director without a multi-queue NIC) becomes a FAIL
+    hole, the report names it, and the command exits 3 instead of
+    dying with a traceback."""
+    from repro.cli import main
+
+    rc = main([
+        "offload", "--modes", "full,flow-director", "--directions", "rx",
+        "--size", "4096", "--connections", "2", "--warmup-ms", "1",
+        "--measure-ms", "2", "--no-cache", "--no-runstore",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "FAIL" in captured.out
+    assert "rx-4096-flow-director" in captured.err

@@ -26,6 +26,7 @@ from repro.core.metrics import (
     throughput_gain,
 )
 from repro.core.modes import AFFINITY_MODES
+from repro.core.parallel import SweepRunner
 from repro.core.speedup import improvement_table
 from repro.cpu.params import CostModel
 
@@ -67,8 +68,9 @@ def main(out_path="EXPERIMENTS.md"):
 
     # ------------------------------------------------------- Figures 3/4
     print("sweeps...", file=sys.stderr)
-    tx_sweep = run_size_sweep("tx", cache=DEFAULT_CACHE, **SWEEP_KW)
-    rx_sweep = run_size_sweep("rx", cache=DEFAULT_CACHE, **SWEEP_KW)
+    runner = SweepRunner(jobs=1, cache=DEFAULT_CACHE)
+    tx_sweep = run_size_sweep("tx", runner=runner, **SWEEP_KW)
+    rx_sweep = run_size_sweep("rx", runner=runner, **SWEEP_KW)
 
     w("## Figure 3 — throughput & utilization vs transaction size")
     w("")
