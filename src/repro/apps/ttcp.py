@@ -11,7 +11,6 @@ caching assumption.
 
 from repro.kernel.task import Task, WaitQueue
 from repro.kernel.timers import KernelTimer
-from repro.net.params import base_instructions
 from repro.prof.slotaccounting import ClassColumns
 
 
@@ -83,7 +82,7 @@ class TtcpWorkload:
         def handler(ctx):
             ctx.charge(
                 self.stack.specs["tcp_write_timer"],
-                base_instructions("tcp_write_timer"),
+                self.stack.instr["tcp_write_timer"],
             )
             self._pace_due[i] = True
             ctx.wake_up(self._pace_wqs[i])
@@ -134,7 +133,7 @@ class TtcpWorkload:
                         self._pace_due[index] = False
                         ctx.charge(
                             stack.specs["mod_timer"],
-                            base_instructions("mod_timer"),
+                            stack.instr["mod_timer"],
                         )
                         ctx.add_timer(
                             self._pace_timers[index], target - ctx.now

@@ -583,6 +583,19 @@ def run_experiment(config, cache=None, progress=None):
             return hit
     if progress:
         progress("running %s" % config.label())
+    result = _simulate(config)
+    # The finished machine is a web of reference cycles, freed only by
+    # the cyclic collector, whose timing depends on allocation counts.
+    # Collecting here keeps dead machines from piling up under the next
+    # cell and setting the process's peak memory.
+    gc.collect()
+    if cache is not None and not traced:
+        cache.put(config, result)
+    return result
+
+
+def _simulate(config):
+    """Build, run and measure one cell's machine (no caching)."""
     wall_t0 = time.perf_counter()
     machine = Machine(
         n_cpus=config.n_cpus,
@@ -666,7 +679,7 @@ def run_experiment(config, cache=None, progress=None):
     tasks = workload.spawn_all()
     applied = apply_affinity(machine, stack, tasks, config.affinity)
     tracer = None
-    if traced:
+    if config.trace is not None:
         tracer = machine.attach_tracer(
             Tracer(
                 machine.engine,
@@ -716,8 +729,6 @@ def run_experiment(config, cache=None, progress=None):
     # Invariants hold for every run, faulted or not; checking before
     # the cache write keeps corrupt results out of the artefact store.
     InvariantChecker(machine, stack).check()
-    if cache is not None and not traced:
-        cache.put(config, result)
     return result
 
 

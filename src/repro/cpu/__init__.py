@@ -25,6 +25,7 @@ from repro.cpu.events import (
     LLC_MISSES,
     MACHINE_CLEARS,
     N_EVENTS,
+    SKID_PERIOD,
     TC_MISSES,
     zero_counts,
 )
@@ -53,5 +54,6 @@ __all__ = [
     "ITLB_WALKS",
     "DTLB_WALKS",
     "MACHINE_CLEARS",
+    "SKID_PERIOD",
     "zero_counts",
 ]

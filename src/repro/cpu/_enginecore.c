@@ -12,16 +12,27 @@
  * IEEE double; int() == trunc for the non-negative values here), and
  * the golden-determinism suite pins both variants to one hash table.
  *
+ * Two types live here.  CpuCore is the base of repro.cpu.compiled's
+ * CPU class: it holds the per-charge bookkeeping (clock, busy cycles,
+ * oprofile skid accumulator, last/skid spec, sibling load) as C struct
+ * members, which Python code reads and writes as plain attributes.
+ * EngineState is the machine-wide binding build_state() returns; it
+ * takes part in garbage collection, so a finished machine is freed
+ * even though the state and the memory system refer to each other.
+ *
  * Growth protocol: the Python side owns every buffer.  Arrays that can
  * grow (directory columns, accounting rows, branch-predictor state)
  * are reallocated by Python, which bumps a generation counter in a
  * small never-reassigned _meta array; this module re-acquires buffers
- * whenever the generation it last saw is stale.  C itself triggers
- * growth only through the owning object's Python method.
+ * whenever the generation it last saw is stale.  The directory is the
+ * one table C grows itself: Python allocates the doubled columns
+ * (LineDirectory._alloc) and C rehashes into them from the old
+ * buffers, slot for slot as LineDirectory._grow does.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -62,7 +73,6 @@ typedef struct {
 } SpecStatic;
 
 typedef struct {
-    PyObject *cpu;
     PyObject *bp;
     Py_buffer l1t_v, l1s_v, l2t_v, l2s_v, l3t_v, l3s_v;
     int64_t *l1t, *l1s, *l2t, *l2s, *l3t, *l3s;
@@ -82,6 +92,7 @@ typedef struct {
 } CpuC;
 
 typedef struct {
+    PyObject_HEAD
     /* Registry / spec statics. */
     PyObject *registry;
     PyObject *reg_dict; /* registry._spec_to_slot */
@@ -107,12 +118,35 @@ typedef struct {
     int64_t retire_width, l2_hit, l3_hit, llc_miss, llc_store_miss;
     int64_t c2c_transfer, tc_miss, itlb_walk, dtlb_walk, br_mispredict;
     double smt_penalty;
+    /* Oprofile skid sampling period (repro.cpu.events.SKID_PERIOD). */
+    int64_t skid_period;
     /* CPUs. */
     int n_cpus;
     CpuC *cpus;
     int n_domains;
     int *domain_rep;
 } EngineState;
+
+/* The per-CPU bookkeeping a charge updates, as C members of the base
+ * type of repro.cpu.compiled's CPU class. */
+typedef struct CpuCoreObject {
+    PyObject_HEAD
+    long long now;
+    long long busy_cycles;
+    long long skid_acc;
+    double recent_load;
+    PyObject *last_spec;
+    PyObject *skid_spec;
+    struct CpuCoreObject *sibling;
+    /* Bound by build_state: the machine's engine state, this CPU's
+     * position in it, and the extension module (the CPU's _core). */
+    EngineState *engine;
+    int slot;
+    PyObject *core;
+} CpuCoreObject;
+
+static PyTypeObject EngineState_Type;
+static PyTypeObject CpuCore_Type;
 
 /* ------------------------------------------------------------------ */
 /* Attribute / buffer plumbing.                                        */
@@ -327,20 +361,72 @@ dir_find(EngineState *st, int64_t line)
     }
 }
 
-/* Insert an absent line; returns its slot, or -2 on Python error
- * (growth runs through LineDirectory._grow so the Python-side object
- * stays authoritative). */
+/* Double the directory.  LineDirectory._alloc replaces the Python
+ * object's columns with empty ones twice the size; the old buffers stay
+ * alive through the views held here while this rehashes them, in
+ * storage order and so slot for slot as LineDirectory._grow does. */
+static int
+dir_grow(EngineState *st)
+{
+    Py_buffer old_k = st->dir_keys_v, old_s = st->dir_sharers_v;
+    Py_buffer old_o = st->dir_owner_v;
+    int64_t *okeys = st->dir_keys, *osharers = st->dir_sharers;
+    int64_t *oowner = st->dir_owner;
+    int64_t old_mask = st->dir_mask, old_shift = st->dir_shift;
+    int64_t old_slots = old_mask + 1;
+    memset(&st->dir_keys_v, 0, sizeof(Py_buffer));
+    memset(&st->dir_sharers_v, 0, sizeof(Py_buffer));
+    memset(&st->dir_owner_v, 0, sizeof(Py_buffer));
+    PyObject *r = PyObject_CallMethod(st->directory, "_alloc", "L",
+                                      (long long)(old_slots * 2));
+    if (r == NULL || rebind_directory(st) < 0) {
+        /* Stay bound to the old columns; the error propagates. */
+        Py_XDECREF(r);
+        if (st->dir_keys_v.obj != NULL)
+            PyBuffer_Release(&st->dir_keys_v);
+        if (st->dir_sharers_v.obj != NULL)
+            PyBuffer_Release(&st->dir_sharers_v);
+        if (st->dir_owner_v.obj != NULL)
+            PyBuffer_Release(&st->dir_owner_v);
+        st->dir_keys_v = old_k;
+        st->dir_sharers_v = old_s;
+        st->dir_owner_v = old_o;
+        st->dir_keys = okeys;
+        st->dir_sharers = osharers;
+        st->dir_owner = oowner;
+        st->dir_mask = old_mask;
+        st->dir_shift = old_shift;
+        return -1;
+    }
+    Py_DECREF(r);
+    int64_t *keys = st->dir_keys;
+    uint64_t mask = (uint64_t)st->dir_mask;
+    for (int64_t i = 0; i < old_slots; i++) {
+        int64_t line = okeys[i];
+        if (line == -1)
+            continue;
+        uint64_t idx = ((uint64_t)line * DIR_FIB) >> st->dir_shift;
+        while (keys[idx] != -1)
+            idx = (idx + 1) & mask;
+        keys[idx] = line;
+        st->dir_sharers[idx] = osharers[i];
+        st->dir_owner[idx] = oowner[i];
+    }
+    PyBuffer_Release(&old_k);
+    PyBuffer_Release(&old_s);
+    PyBuffer_Release(&old_o);
+    st->dir_meta[DIR_GEN_I]++;
+    st->dir_gen_seen = st->dir_meta[DIR_GEN_I];
+    return 0;
+}
+
+/* Insert an absent line; returns its slot, or -2 on Python error. */
 static int64_t
 dir_insert(EngineState *st, int64_t line, int64_t sharers, int64_t owner)
 {
-    if ((st->dir_meta[DIR_COUNT_I] + 1) * 2 > st->dir_mask + 1) {
-        PyObject *r = PyObject_CallMethod(st->directory, "_grow", NULL);
-        if (r == NULL)
-            return -2;
-        Py_DECREF(r);
-        if (rebind_directory(st) < 0)
-            return -2;
-    }
+    if ((st->dir_meta[DIR_COUNT_I] + 1) * 2 > st->dir_mask + 1 &&
+        dir_grow(st) < 0)
+        return -2;
     uint64_t mask = (uint64_t)st->dir_mask;
     uint64_t idx = ((uint64_t)line * DIR_FIB) >> st->dir_shift;
     while (st->dir_keys[idx] != -1)
@@ -462,7 +548,7 @@ bp_predict(CpuC *c, int64_t slot, int64_t branches, double base_rate)
 /* ------------------------------------------------------------------ */
 
 static inline int64_t
-walk_dtlb(CpuC *c, int64_t addr, int64_t size, int64_t last)
+walk_dtlb(CpuC *c, int64_t addr, int64_t last)
 {
     int64_t page = addr / PAGE_SIZE_C;
     int64_t last_page = last / PAGE_SIZE_C;
@@ -487,7 +573,7 @@ walk_read(EngineState *st, CpuC *c, int64_t addr, int64_t size,
           int64_t *cyc_out, int64_t *walks_out)
 {
     int64_t last = addr + size - 1;
-    *walks_out += walk_dtlb(c, addr, size, last);
+    *walks_out += walk_dtlb(c, addr, last);
     int64_t first = addr / CACHE_LINE_C;
     int64_t last_line = last / CACHE_LINE_C;
     int64_t l1_hits = 0, l2_hits = 0, l3_hits = 0, llc_misses = 0;
@@ -571,7 +657,7 @@ walk_write(EngineState *st, CpuC *c, int64_t addr, int64_t size,
            int64_t *cyc_out, int64_t *walks_out)
 {
     int64_t last = addr + size - 1;
-    *walks_out += walk_dtlb(c, addr, size, last);
+    *walks_out += walk_dtlb(c, addr, last);
     int64_t first = addr / CACHE_LINE_C;
     int64_t last_line = last / CACHE_LINE_C;
     int64_t l1_hits = 0, l2_hits = 0, l3_hits = 0, llc_misses = 0;
@@ -804,58 +890,25 @@ resolve_slot(EngineState *st, PyObject *spec)
 /* charge()                                                            */
 /* ------------------------------------------------------------------ */
 
-static EngineState *
-state_from_capsule(PyObject *cap)
+/* The cost of one invocation of spec on CPU cpu_index: everything of
+ * Cpu.charge except the clock and skid bookkeeping.  Stores the cycles
+ * in *cycles_out; returns -1 with a Python error set on failure. */
+static int
+charge_cycles(EngineState *st, int cpu_index, PyObject *spec,
+              int64_t instructions, PyObject *reads, PyObject *writes,
+              int64_t extra_cycles, int64_t branches, int64_t mispredicts,
+              double sib_load, int64_t *cycles_out)
 {
-    return (EngineState *)PyCapsule_GetPointer(cap, "repro._enginecore.state");
-}
-
-static PyObject *
-mod_charge(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 10) {
-        PyErr_SetString(PyExc_TypeError, "charge() takes 10 arguments");
-        return NULL;
-    }
-    EngineState *st = state_from_capsule(args[0]);
-    if (st == NULL)
-        return NULL;
-    long long cpu_index = PyLong_AsLongLong(args[1]);
-    if (cpu_index == -1 && PyErr_Occurred())
-        return NULL;
-    if (cpu_index < 0 || cpu_index >= st->n_cpus) {
-        PyErr_SetString(PyExc_IndexError, "cpu index out of range");
-        return NULL;
-    }
-    PyObject *spec = args[2];
-    long long instructions = PyLong_AsLongLong(args[3]);
-    if (instructions == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *reads = args[4];
-    PyObject *writes = args[5];
-    long long extra_cycles = PyLong_AsLongLong(args[6]);
-    if (extra_cycles == -1 && PyErr_Occurred())
-        return NULL;
-    long long branches = PyLong_AsLongLong(args[7]);
-    if (branches == -1 && PyErr_Occurred())
-        return NULL;
-    long long mispredicts = PyLong_AsLongLong(args[8]);
-    if (mispredicts == -1 && PyErr_Occurred())
-        return NULL;
-    double sib_load = PyFloat_AsDouble(args[9]);
-    if (sib_load == -1.0 && PyErr_Occurred())
-        return NULL;
-
     if (ensure_bound(st) < 0)
-        return NULL;
+        return -1;
     CpuC *c = &st->cpus[cpu_index];
 
     int64_t slot = resolve_slot(st, spec);
     if (slot == -2)
-        return NULL;
+        return -1;
     SpecStatic *sp = &st->specs[slot];
     if (!sp->loaded && load_spec(st, slot, spec) < 0)
-        return NULL;
+        return -1;
 
     /* Instruction fetch through the trace cache (FunctionSpec.
      * fetch_lines computed directly; the Python memos are a pure
@@ -891,10 +944,10 @@ mod_charge(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int64_t llc_misses = 0, l2_hits = 0, l3_hits = 0, dtlb_walks = 0;
     if (accumulate_ranges(st, c, reads, 0, &llc_misses, &l2_hits, &l3_hits,
                           &penalty, &dtlb_walks) < 0)
-        return NULL;
+        return -1;
     if (accumulate_ranges(st, c, writes, 1, &llc_misses, &l2_hits, &l3_hits,
                           &penalty, &dtlb_walks) < 0)
-        return NULL;
+        return -1;
     if (dtlb_walks)
         penalty += dtlb_walks * st->dtlb_walk;
 
@@ -956,6 +1009,71 @@ mod_charge(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         row[EV_ITLB_WALKS] += itlb_walks;
         row[EV_DTLB_WALKS] += dtlb_walks;
     }
+    *cycles_out = cycles;
+    return 0;
+}
+
+static int
+as_i64(PyObject *o, int64_t *out)
+{
+    long long x = PyLong_AsLongLong(o);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *out = (int64_t)x;
+    return 0;
+}
+
+/* charge(cpu, spec, instructions, reads, writes, extra_cycles, branches,
+ * mispredicts): CompiledCpu.charge in full -- the cost, then the clock,
+ * busy-cycle and oprofile-skid bookkeeping on the CpuCore members. */
+static PyObject *
+mod_charge(PyObject *Py_UNUSED(module), PyObject *const *args,
+           Py_ssize_t nargs)
+{
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError,
+                        "charge() takes 8 arguments (cpu, spec, "
+                        "instructions, reads, writes, extra_cycles, "
+                        "branches, mispredicts)");
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[0], &CpuCore_Type)) {
+        PyErr_SetString(PyExc_TypeError, "charge() needs a CpuCore");
+        return NULL;
+    }
+    CpuCoreObject *cpu = (CpuCoreObject *)args[0];
+    EngineState *st = cpu->engine;
+    if (st == NULL || st->memsys == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "CPU is not bound to an engine state");
+        return NULL;
+    }
+    PyObject *spec = args[1];
+    int64_t instructions, extra_cycles, branches = -1, mispredicts = -1;
+    if (as_i64(args[2], &instructions) < 0 ||
+        as_i64(args[5], &extra_cycles) < 0 ||
+        (args[6] != Py_None && as_i64(args[6], &branches) < 0) ||
+        (args[7] != Py_None && as_i64(args[7], &mispredicts) < 0))
+        return NULL;
+
+    Py_INCREF(spec);
+    Py_XSETREF(cpu->last_spec, spec);
+    double sib_load = cpu->sibling != NULL ? cpu->sibling->recent_load : 0.0;
+    int64_t cycles;
+    if (charge_cycles(st, cpu->slot, spec, instructions, args[3], args[4],
+                      extra_cycles, branches, mispredicts, sib_load,
+                      &cycles) < 0)
+        return NULL;
+
+    cpu->now += cycles;
+    cpu->busy_cycles += cycles;
+    long long acc = cpu->skid_acc + cycles;
+    if (acc >= st->skid_period) {
+        acc %= st->skid_period;
+        Py_INCREF(spec);
+        Py_XSETREF(cpu->skid_spec, spec);
+    }
+    cpu->skid_acc = acc;
     return PyLong_FromLongLong((long long)cycles);
 }
 
@@ -963,15 +1081,32 @@ mod_charge(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* DMA entry points (mirrors of MemorySystem.dma_write / dma_read).    */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-mod_dma_write(PyObject *self, PyObject *args)
+static EngineState *
+engine_arg(PyObject *obj)
 {
-    PyObject *cap;
-    long long addr, size;
-    if (!PyArg_ParseTuple(args, "OLL", &cap, &addr, &size))
+    if (!PyObject_TypeCheck(obj, &EngineState_Type)) {
+        PyErr_SetString(PyExc_TypeError, "expected an EngineState");
         return NULL;
-    EngineState *st = state_from_capsule(cap);
-    if (st == NULL || ensure_bound(st) < 0)
+    }
+    EngineState *st = (EngineState *)obj;
+    if (st->memsys == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "engine state was cleared");
+        return NULL;
+    }
+    if (ensure_bound(st) < 0)
+        return NULL;
+    return st;
+}
+
+static PyObject *
+mod_dma_write(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *obj;
+    long long addr, size;
+    if (!PyArg_ParseTuple(args, "OLL", &obj, &addr, &size))
+        return NULL;
+    EngineState *st = engine_arg(obj);
+    if (st == NULL)
         return NULL;
     int64_t invalidations = 0, n = 0;
     if (size > 0) {
@@ -999,14 +1134,14 @@ mod_dma_write(PyObject *self, PyObject *args)
 }
 
 static PyObject *
-mod_dma_read(PyObject *self, PyObject *args)
+mod_dma_read(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cap;
+    PyObject *obj;
     long long addr, size;
-    if (!PyArg_ParseTuple(args, "OLL", &cap, &addr, &size))
+    if (!PyArg_ParseTuple(args, "OLL", &obj, &addr, &size))
         return NULL;
-    EngineState *st = state_from_capsule(cap);
-    if (st == NULL || ensure_bound(st) < 0)
+    EngineState *st = engine_arg(obj);
+    if (st == NULL)
         return NULL;
     int64_t invalidations = 0, n = 0;
     if (size > 0) {
@@ -1036,14 +1171,46 @@ mod_dma_read(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* State construction / destruction.                                   */
+/* EngineState: construction, garbage collection, destruction.         */
 /* ------------------------------------------------------------------ */
 
-static void
-free_state(EngineState *st)
+static int
+engine_traverse(PyObject *self, visitproc visit, void *arg)
 {
-    if (st == NULL)
-        return;
+    EngineState *st = (EngineState *)self;
+    Py_VISIT(st->registry);
+    Py_VISIT(st->reg_dict);
+    Py_VISIT(st->acct);
+    Py_VISIT(st->memsys);
+    Py_VISIT(st->directory);
+    if (st->cpus != NULL)
+        for (int i = 0; i < st->n_cpus; i++)
+            Py_VISIT(st->cpus[i].bp);
+    return 0;
+}
+
+/* Drops the object references only: the buffer views (over arrays,
+ * which cannot be part of a cycle) stay valid until dealloc. */
+static int
+engine_clear(PyObject *self)
+{
+    EngineState *st = (EngineState *)self;
+    Py_CLEAR(st->registry);
+    Py_CLEAR(st->reg_dict);
+    Py_CLEAR(st->acct);
+    Py_CLEAR(st->memsys);
+    Py_CLEAR(st->directory);
+    if (st->cpus != NULL)
+        for (int i = 0; i < st->n_cpus; i++)
+            Py_CLEAR(st->cpus[i].bp);
+    return 0;
+}
+
+static void
+engine_dealloc(PyObject *self)
+{
+    EngineState *st = (EngineState *)self;
+    PyObject_GC_UnTrack(self);
 #define REL(v) if ((v).obj != NULL) PyBuffer_Release(&(v))
     REL(st->reg_meta_v);
     REL(st->acct_rows_v);
@@ -1068,27 +1235,26 @@ free_state(EngineState *st)
             REL(c->bprev_v); REL(c->bnext_v);
             REL(c->bmeta_v); REL(c->bstats_v);
             REL(c->tot_v);
-            Py_XDECREF(c->cpu);
-            Py_XDECREF(c->bp);
         }
-        PyMem_Free(st->cpus);
     }
 #undef REL
-    Py_XDECREF(st->registry);
-    Py_XDECREF(st->reg_dict);
-    Py_XDECREF(st->acct);
-    Py_XDECREF(st->memsys);
-    Py_XDECREF(st->directory);
+    engine_clear(self);
+    PyMem_Free(st->cpus);
     PyMem_Free(st->domain_rep);
     PyMem_Free(st->specs);
-    PyMem_Free(st);
+    Py_TYPE(self)->tp_free(self);
 }
 
-static void
-capsule_destructor(PyObject *cap)
-{
-    free_state(state_from_capsule(cap));
-}
+static PyTypeObject EngineState_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_enginecore.EngineState",
+    .tp_basicsize = sizeof(EngineState),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Flat-array machine state bound by build_state().",
+    .tp_traverse = engine_traverse,
+    .tp_clear = engine_clear,
+    .tp_dealloc = engine_dealloc,
+};
 
 static int
 bind_cache(PyObject *cpu, const char *attr, Py_buffer *tv, int64_t **tags,
@@ -1127,8 +1293,10 @@ static int
 bind_cpu(EngineState *st, int i, PyObject *cpu)
 {
     CpuC *c = &st->cpus[i];
-    c->cpu = cpu;
-    Py_INCREF(cpu);
+    if (!PyObject_TypeCheck(cpu, &CpuCore_Type)) {
+        PyErr_SetString(PyExc_TypeError, "every CPU must be a CpuCore");
+        return -1;
+    }
     if (bind_cache(cpu, "l1", &c->l1t_v, &c->l1t, &c->l1s_v, &c->l1s,
                    &c->mask1, &c->ways1) < 0 ||
         bind_cache(cpu, "l2", &c->l2t_v, &c->l2t, &c->l2s_v, &c->l2s,
@@ -1159,35 +1327,53 @@ bind_cpu(EngineState *st, int i, PyObject *cpu)
     return 0;
 }
 
+static int
+desc_item(PyObject *desc, const char *key, PyObject **out)
+{
+    *out = PyDict_GetItemString(desc, key);
+    if (*out == NULL) {
+        PyErr_Format(PyExc_ValueError, "state description needs %s", key);
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
-mod_build_state(PyObject *self, PyObject *args)
+mod_build_state(PyObject *module, PyObject *args)
 {
     PyObject *desc;
     if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &desc))
         return NULL;
-    EngineState *st = (EngineState *)PyMem_Calloc(1, sizeof(EngineState));
-    if (st == NULL)
-        return PyErr_NoMemory();
-
-    PyObject *registry = PyDict_GetItemString(desc, "registry");
-    PyObject *acct = PyDict_GetItemString(desc, "accounting");
-    PyObject *memsys = PyDict_GetItemString(desc, "memsys");
-    PyObject *costs = PyDict_GetItemString(desc, "costs");
-    PyObject *cpus = PyDict_GetItemString(desc, "cpus");
-    if (registry == NULL || acct == NULL || memsys == NULL ||
-        costs == NULL || cpus == NULL || !PyList_Check(cpus)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "state description needs registry, accounting, "
-                        "memsys, costs and a cpus list");
-        free_state(st);
+    PyObject *registry, *acct, *memsys, *costs, *cpus, *skid;
+    if (desc_item(desc, "registry", &registry) < 0 ||
+        desc_item(desc, "accounting", &acct) < 0 ||
+        desc_item(desc, "memsys", &memsys) < 0 ||
+        desc_item(desc, "costs", &costs) < 0 ||
+        desc_item(desc, "cpus", &cpus) < 0 ||
+        desc_item(desc, "skid_period", &skid) < 0)
+        return NULL;
+    if (!PyList_Check(cpus)) {
+        PyErr_SetString(PyExc_TypeError, "cpus must be a list");
         return NULL;
     }
-    st->registry = registry;
-    Py_INCREF(registry);
-    st->acct = acct;
-    Py_INCREF(acct);
-    st->memsys = memsys;
-    Py_INCREF(memsys);
+    EngineState *st = PyObject_GC_New(EngineState, &EngineState_Type);
+    if (st == NULL)
+        return NULL;
+    /* Zero everything after the object header so dealloc is safe from
+     * any failure point below. */
+    memset((char *)st + sizeof(PyObject), 0,
+           sizeof(EngineState) - sizeof(PyObject));
+    PyObject_GC_Track((PyObject *)st);
+
+    if (as_i64(skid, &st->skid_period) < 0)
+        goto fail;
+    if (st->skid_period <= 0) {
+        PyErr_SetString(PyExc_ValueError, "skid_period must be positive");
+        goto fail;
+    }
+    st->registry = Py_NewRef(registry);
+    st->acct = Py_NewRef(acct);
+    st->memsys = Py_NewRef(memsys);
 
     st->reg_dict = PyObject_GetAttrString(registry, "_spec_to_slot");
     if (st->reg_dict == NULL || !PyDict_Check(st->reg_dict))
@@ -1274,24 +1460,128 @@ mod_build_state(PyObject *self, PyObject *args)
         }
     }
 
-    PyObject *cap = PyCapsule_New(st, "repro._enginecore.state",
-                                  capsule_destructor);
-    if (cap == NULL)
-        goto fail;
-    return cap;
+    /* Everything bound: attach the CPUs to this state. */
+    for (int i = 0; i < st->n_cpus; i++) {
+        CpuCoreObject *cpu = (CpuCoreObject *)PyList_GET_ITEM(cpus, i);
+        Py_INCREF(st);
+        Py_XSETREF(cpu->engine, st);
+        Py_XSETREF(cpu->core, Py_NewRef(module));
+        cpu->slot = i;
+    }
+    return (PyObject *)st;
 fail:
-    free_state(st);
+    Py_DECREF(st);
     return NULL;
 }
+
+/* ------------------------------------------------------------------ */
+/* CpuCore: the charge bookkeeping as C members.                       */
+/* ------------------------------------------------------------------ */
+
+static int
+cpucore_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    CpuCoreObject *cpu = (CpuCoreObject *)self;
+    Py_VISIT(cpu->last_spec);
+    Py_VISIT(cpu->skid_spec);
+    Py_VISIT(cpu->sibling);
+    Py_VISIT(cpu->engine);
+    Py_VISIT(cpu->core);
+    return 0;
+}
+
+static int
+cpucore_clear(PyObject *self)
+{
+    CpuCoreObject *cpu = (CpuCoreObject *)self;
+    Py_CLEAR(cpu->last_spec);
+    Py_CLEAR(cpu->skid_spec);
+    Py_CLEAR(cpu->sibling);
+    Py_CLEAR(cpu->engine);
+    Py_CLEAR(cpu->core);
+    return 0;
+}
+
+static void
+cpucore_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    cpucore_clear(self);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *
+cpucore_get_sibling(PyObject *self, void *Py_UNUSED(closure))
+{
+    CpuCoreObject *cpu = (CpuCoreObject *)self;
+    return Py_NewRef(cpu->sibling != NULL ? (PyObject *)cpu->sibling
+                                          : Py_None);
+}
+
+static int
+cpucore_set_sibling(PyObject *self, PyObject *value, void *Py_UNUSED(closure))
+{
+    CpuCoreObject *cpu = (CpuCoreObject *)self;
+    if (value == NULL || value == Py_None) {
+        Py_CLEAR(cpu->sibling);
+        return 0;
+    }
+    if (!PyObject_TypeCheck(value, &CpuCore_Type)) {
+        PyErr_SetString(PyExc_TypeError, "sibling must be a CpuCore or None");
+        return -1;
+    }
+    Py_INCREF(value);
+    Py_XSETREF(cpu->sibling, (CpuCoreObject *)value);
+    return 0;
+}
+
+static PyMemberDef cpucore_members[] = {
+    {"now", T_LONGLONG, offsetof(CpuCoreObject, now), 0,
+     "Local clock, in cycles."},
+    {"busy_cycles", T_LONGLONG, offsetof(CpuCoreObject, busy_cycles), 0,
+     "Cycles spent charging work."},
+    {"_skid_acc", T_LONGLONG, offsetof(CpuCoreObject, skid_acc), 0,
+     "Cycles since the last oprofile skid sample."},
+    {"recent_load", T_DOUBLE, offsetof(CpuCoreObject, recent_load), 0,
+     "Load estimate the SMT sibling's charges are slowed by."},
+    {"last_spec", T_OBJECT, offsetof(CpuCoreObject, last_spec), 0,
+     "Function spec charged last."},
+    {"skid_spec", T_OBJECT, offsetof(CpuCoreObject, skid_spec), 0,
+     "Spec running at the last skid sample."},
+    {"_core", T_OBJECT, offsetof(CpuCoreObject, core), READONLY,
+     "The extension module, once build_state() bound this CPU."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef cpucore_getset[] = {
+    {"sibling", cpucore_get_sibling, cpucore_set_sibling,
+     "The SMT sibling sharing this CPU's caches, or None.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject CpuCore_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_enginecore.CpuCore",
+    .tp_basicsize = sizeof(CpuCoreObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Per-CPU charge bookkeeping; base of the compiled CPU class.",
+    .tp_traverse = cpucore_traverse,
+    .tp_clear = cpucore_clear,
+    .tp_dealloc = cpucore_dealloc,
+    .tp_members = cpucore_members,
+    .tp_getset = cpucore_getset,
+    .tp_new = PyType_GenericNew,
+};
 
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef module_methods[] = {
     {"build_state", mod_build_state, METH_VARARGS,
-     "Bind the flat-array machine state; returns an opaque capsule."},
+     "Bind the flat-array machine state and its CPUs; returns an "
+     "EngineState."},
     {"charge", (PyCFunction)(void (*)(void))mod_charge, METH_FASTCALL,
-     "charge(state, cpu_index, spec, instructions, reads, writes, "
-     "extra_cycles, branches, mispredicts, sibling_load) -> cycles"},
+     "charge(cpu, spec, instructions, reads, writes, extra_cycles, "
+     "branches, mispredicts) -> cycles"},
     {"dma_write", mod_dma_write, METH_VARARGS,
      "dma_write(state, addr, size)"},
     {"dma_read", mod_dma_read, METH_VARARGS,
@@ -1301,14 +1591,26 @@ static PyMethodDef module_methods[] = {
 
 static struct PyModuleDef enginecore_module = {
     PyModuleDef_HEAD_INIT,
-    "_enginecore",
-    "Compiled charging engine over buffer-bound array state.",
-    -1,
-    module_methods,
+    .m_name = "_enginecore",
+    .m_doc = "Compiled charging engine over buffer-bound array state.",
+    .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC
 PyInit__enginecore(void)
 {
-    return PyModule_Create(&enginecore_module);
+    if (PyType_Ready(&EngineState_Type) < 0 ||
+        PyType_Ready(&CpuCore_Type) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&enginecore_module);
+    if (m == NULL)
+        return NULL;
+    if (PyModule_AddObjectRef(m, "CpuCore", (PyObject *)&CpuCore_Type) < 0 ||
+        PyModule_AddObjectRef(m, "EngineState",
+                              (PyObject *)&EngineState_Type) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

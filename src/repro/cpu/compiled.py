@@ -1,20 +1,27 @@
-"""The compiled-engine CPU: array state plus a thin charge wrapper.
+"""The compiled-engine CPU: array state over a C bookkeeping base.
 
 :class:`CompiledCpu` is the flat-array twin of :class:`~repro.cpu.
 core.Cpu`.  It owns the same component set -- three data-cache levels,
 two TLBs, trace cache, branch predictor -- but in the ``array('q')``
 representations of :mod:`repro.cpu.arraystate`, and its :meth:`charge`
-is a ~ten-line wrapper around ``_enginecore.charge``, which runs the
-entire hot path in C over buffers bound once at machine construction.
+is one call into ``_enginecore.charge``, which runs the entire hot
+path in C over buffers bound once at machine construction, then
+advances the CPU's clock, busy cycles and oprofile skid sample.
 
-Everything the machine layer touches between charges (clocks, totals,
-skid attribution, machine clears, idle advance, per-line coherence
-invalidation) stays in Python: those paths run a handful of times per
-quantum and their cost is irrelevant, while keeping them here keeps
-the C surface small and auditable.  The duck-typed surface matches
-``Cpu`` exactly; the equivalence and golden suites run the same
-workloads over both and require identical event streams.
+Those per-charge fields (``now``, ``busy_cycles``, ``recent_load``,
+``last_spec``, ``skid_spec``, ``sibling``) are C struct members of the
+extension's ``CpuCore`` type, so the concrete class is built over it
+once the extension is loaded: :func:`cpu_class`.  Machine-layer code
+reads and writes them as plain attributes.  Everything else the
+machine touches between charges (machine clears, idle advance,
+per-line coherence invalidation) stays in Python: those paths run a
+handful of times per quantum.  The duck-typed surface matches ``Cpu``
+exactly; the equivalence and golden suites run the same workloads
+over both and require identical event streams.
 """
+
+import functools
+from array import array
 
 from repro.cpu.arraystate import (
     ArrayBranchPredictor,
@@ -22,19 +29,34 @@ from repro.cpu.arraystate import (
     ArrayTlb,
     ArrayTraceCache,
 )
-from array import array
-
 from repro.cpu.events import CYCLES, MACHINE_CLEARS, zero_counts
 
-#: Oprofile-skid sampling period, coprime to the quanta (same constant
-#: as the pure engine; keep the two in sync).
-SKID_PERIOD = 1999
+
+@functools.lru_cache(maxsize=None)
+def cpu_class(core):
+    """The concrete compiled CPU class over ``core.CpuCore``.
+
+    One class per loaded extension module: the C base holds the
+    per-charge fields, :class:`CompiledCpu` supplies the rest.
+    """
+    return type("CompiledCpu", (CompiledCpu, core.CpuCore), {
+        "__slots__": CompiledCpu.STATE_SLOTS,
+        "__module__": __name__,
+    })
 
 
 class CompiledCpu:
-    """One processor of the simulated SMP, on the compiled engine."""
+    """One processor of the simulated SMP, on the compiled engine.
 
-    __slots__ = (
+    Instantiate through :func:`cpu_class`; ``core.build_state`` then
+    binds the instance to the machine's engine state (and sets
+    ``_core``, the extension module).
+    """
+
+    __slots__ = ()
+
+    #: Python-side instance fields of the concrete class.
+    STATE_SLOTS = (
         "index",
         "name",
         "params",
@@ -43,8 +65,6 @@ class CompiledCpu:
         "sink",
         "registry",
         "domain",
-        "sibling",
-        "recent_load",
         "l1",
         "l2",
         "l3",
@@ -52,15 +72,8 @@ class CompiledCpu:
         "dtlb",
         "trace_cache",
         "branch_predictor",
-        "now",
-        "busy_cycles",
         "totals",
-        "last_spec",
-        "skid_spec",
-        "_skid_acc",
         "_busy_at_last_tick",
-        "_core",
-        "_state",
     )
 
     def __init__(self, index, params, costs, memsys, sink, registry,
@@ -104,16 +117,7 @@ class CompiledCpu:
         self.skid_spec = None
         self._skid_acc = 0
         self._busy_at_last_tick = 0
-        #: Bound by :meth:`bind` once the whole machine exists (the C
-        #: state captures every CPU's buffers in one build).
-        self._core = None
-        self._state = None
         memsys.attach_cpu(self)
-
-    def bind(self, core, state):
-        """Attach the built C engine state (machine-construction time)."""
-        self._core = core
-        self._state = state
 
     # ------------------------------------------------------------------
     # The hot path.
@@ -123,28 +127,8 @@ class CompiledCpu:
                branches=None, mispredicts=None):
         """Execute one invocation of ``spec``; same contract as
         :meth:`repro.cpu.core.Cpu.charge`."""
-        self.last_spec = spec
-        sibling = self.sibling
-        cycles = self._core.charge(
-            self._state,
-            self.index,
-            spec,
-            instructions,
-            reads,
-            writes,
-            extra_cycles,
-            -1 if branches is None else branches,
-            -1 if mispredicts is None else mispredicts,
-            sibling.recent_load if sibling is not None else 0.0,
-        )
-        self.now += cycles
-        self.busy_cycles += cycles
-        acc = self._skid_acc + cycles
-        if acc >= SKID_PERIOD:
-            acc %= SKID_PERIOD
-            self.skid_spec = spec
-        self._skid_acc = acc
-        return cycles
+        return self._core.charge(self, spec, instructions, reads, writes,
+                                 extra_cycles, branches, mispredicts)
 
     # ------------------------------------------------------------------
     # Asynchronous events (cold paths; Python, same as the reference).

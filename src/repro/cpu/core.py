@@ -27,6 +27,7 @@ from repro.cpu.events import (
     L3_HITS,
     LLC_MISSES,
     MACHINE_CLEARS,
+    SKID_PERIOD,
     TC_MISSES,
     zero_counts,
 )
@@ -331,8 +332,8 @@ class Cpu:
         self.now += cycles
         self.busy_cycles += cycles
         self._skid_acc += cycles
-        if self._skid_acc >= 1999:  # sampling period, coprime to quanta
-            self._skid_acc %= 1999
+        if self._skid_acc >= SKID_PERIOD:
+            self._skid_acc %= SKID_PERIOD
             self.skid_spec = spec
 
         totals[CYCLES] += cycles

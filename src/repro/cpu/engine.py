@@ -9,8 +9,9 @@ The simulator ships two bit-identical charging engines:
     The flat-array path: :class:`repro.cpu.compiled.CompiledCpu` state
     driven by the ``_enginecore`` C extension, built on demand from
     ``_enginecore.c`` with the host C compiler and cached by source
-    hash.  2-3x faster end to end; requires a working ``cc`` and the
-    CPython headers.
+    hash.  3.6-4.4x faster end to end on 64KB receive cells (ABBA,
+    ``tools/bench.py --compare-engines``); requires a working ``cc``
+    and the CPython headers.
 
 Selection: the ``engine`` argument to :class:`~repro.kernel.machine.
 Machine` (and the config plumbing above it) wins; otherwise the

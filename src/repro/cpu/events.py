@@ -19,6 +19,14 @@ MACHINE_CLEARS = 10
 
 N_EVENTS = 11
 
+#: Oprofile skid sampling period, in cycles: every time a CPU's charged
+#: cycles cross a multiple of it, the running function becomes the
+#: attribution target for asynchronous events (``skid_spec``).  Coprime
+#: to the scheduler quanta so samples do not lock to them.  Both
+#: engines use this one value; the compiled one gets it through
+#: ``build_state``.
+SKID_PERIOD = 1999
+
 EVENT_NAMES = (
     "cycles",
     "instructions",

@@ -28,13 +28,22 @@ KIND_HARDIRQ = "hardirq"
 class ExecContext:
     """Binding of executing kernel code to a CPU and the machine."""
 
-    __slots__ = ("machine", "cpu", "kind", "task", "locks_held", "current_spec")
+    __slots__ = ("machine", "cpu", "kind", "task", "locks_held",
+                 "current_spec", "pending_irqs")
 
     def __init__(self, machine, cpu, kind, task=None):
         self.machine = machine
         self.cpu = cpu
         self.kind = kind
         self.task = task
+        #: The interrupt vectors pending on ``cpu`` (its machine
+        #: state's list, refreshed by :meth:`move_to`).  A hardirq
+        #: handler never delivers interrupts itself, so its context
+        #: watches a tuple that stays empty.
+        self.pending_irqs = (
+            () if kind == KIND_HARDIRQ
+            else machine.states[cpu.index].pending_irqs
+        )
         #: Number of spinlocks currently held by this context; while
         #: non-zero, softirqs are deferred on this CPU (the
         #: ``spin_lock_bh`` discipline of the network stack) and the
@@ -73,12 +82,15 @@ class ExecContext:
             spec, instructions, reads, writes, extra_cycles,
             branches, mispredicts,
         )
-        if self.kind != KIND_HARDIRQ:
-            machine = self.machine
-            # Common case: nothing pending; skip the delivery call.
-            if machine.states[self.cpu.index].pending_irqs:
-                machine.deliver_pending_hardirqs(self.cpu)
+        # Common case: nothing pending; skip the delivery call.
+        if self.pending_irqs:
+            self.machine.deliver_pending_hardirqs(self.cpu)
         return cycles
+
+    def move_to(self, cpu):
+        """Rebind this (task) context to ``cpu`` -- on dispatch."""
+        self.cpu = cpu
+        self.pending_irqs = self.machine.states[cpu.index].pending_irqs
 
     # ------------------------------------------------------------------
     # Services routed through the machine.

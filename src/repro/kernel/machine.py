@@ -18,8 +18,9 @@ flow through here:
   wait charged to lock-bin code at Table 2's branch arithmetic.
 """
 
-from repro.cpu.compiled import CompiledCpu
+from repro.cpu.compiled import cpu_class
 from repro.cpu.core import Cpu
+from repro.cpu.events import LLC_MISSES, SKID_PERIOD
 from repro.cpu.engine import resolve_engine
 from repro.cpu.function import FunctionTable
 from repro.cpu.params import CostModel, CpuParams
@@ -166,6 +167,7 @@ class Machine:
             self.registry = SlotRegistry()
             self.memsys = CompiledMemorySystem()
             self.accounting = ArrayAccounting(n_cpus, self.registry)
+            compiled_cpu = cpu_class(core)
             for i in range(n_cpus):
                 share_with = None
                 domain = i
@@ -174,19 +176,19 @@ class Machine:
                     if i % 2 == 1:
                         share_with = self.cpus[i - 1]
                 self.cpus.append(
-                    CompiledCpu(i, cpu_params, self.costs, self.memsys,
-                                self.accounting, self.registry,
-                                share_with=share_with, domain=domain)
+                    compiled_cpu(i, cpu_params, self.costs, self.memsys,
+                                 self.accounting, self.registry,
+                                 share_with=share_with, domain=domain)
                 )
+            # Binds every CPU to the new state as well.
             state = core.build_state({
                 "registry": self.registry,
                 "accounting": self.accounting,
                 "memsys": self.memsys,
                 "costs": self.costs,
                 "cpus": self.cpus,
+                "skid_period": SKID_PERIOD,
             })
-            for cpu in self.cpus:
-                cpu.bind(core, state)
             self.memsys.bind_state(core, state)
         else:
             self.registry = None
@@ -821,7 +823,7 @@ class Machine:
         writes = [(task._struct.addr, 64)]
         if state.last_task is not None and switching:
             reads.append((state.last_task._struct.addr, 128))
-        task._ctx.cpu = cpu
+        task._ctx.move_to(cpu)
         task._ctx.current_spec = self.spec_schedule
         cpu.last_spec = self.spec_schedule
         extra = 1500 if switching else 0  # CR3 write and pipeline drain
@@ -910,8 +912,6 @@ class Machine:
         cpu.recent_load = loads[cpu_index]
         if cpu_index == 0:
             # Feed the shared-bus model: fills since the last tick.
-            from repro.cpu.events import LLC_MISSES
-
             misses_now = sum(c.totals[LLC_MISSES] for c in self.cpus)
             dma_now = (self.memsys.dma_lines_written
                        + self.memsys.dma_lines_read)

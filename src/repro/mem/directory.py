@@ -19,8 +19,13 @@ Semantics mirror the reference exactly:
 
 Growth doubles the table and rehashes; a generation counter in the
 bound ``_meta`` buffer tells compiled code to re-acquire the (new)
-array buffers.  Slot order is an implementation detail -- nothing
-observable iterates the table in storage order.
+array buffers.  The compiled engine grows a bound directory itself:
+it calls :meth:`LineDirectory._alloc` for the doubled columns and
+rehashes into them from the old buffers in C.  :meth:`LineDirectory.
+_grow` is the interpreted oracle of that rehash; both reinsert in old
+storage order, so they produce the same table slot for slot.  Slot
+order is otherwise an implementation detail -- nothing observable
+iterates the table in storage order.
 """
 
 from array import array
@@ -85,14 +90,20 @@ class LineDirectory:
         return idx
 
     def _grow(self):
-        old = list(self.items())
+        old_keys, old_sharers, old_owner = (
+            self._keys, self._sharers, self._owner)
         self._alloc((self._mask + 1) * 2)
-        keys = self._keys
-        for line, sharers, owner in old:
-            idx = self._slot(line)
+        keys, sharers, owner = self._keys, self._sharers, self._owner
+        mask, shift = self._mask, self._shift
+        for old_idx, line in enumerate(old_keys):
+            if line == -1:
+                continue
+            idx = ((line * _FIB) & _MASK64) >> shift
+            while keys[idx] != -1:
+                idx = (idx + 1) & mask
             keys[idx] = line
-            self._sharers[idx] = sharers
-            self._owner[idx] = owner
+            sharers[idx] = old_sharers[old_idx]
+            owner[idx] = old_owner[old_idx]
         self._meta[META_GENERATION] += 1
 
     # -- dict-flavoured API (cold paths, tests) ------------------------

@@ -55,12 +55,15 @@ def page_span(addr, size):
 class MemoryObject:
     """A named, contiguous allocation in the simulated address space."""
 
-    __slots__ = ("name", "addr", "size")
+    __slots__ = ("name", "addr", "size", "prefix")
 
     def __init__(self, name, addr, size):
         self.name = name
         self.addr = addr
         self.size = size
+        #: ``{n: field(0, n)}`` for the static prefixes hot code
+        #: charges, once :meth:`precompute_prefixes` has run.
+        self.prefix = None
 
     @property
     def end(self):
@@ -80,6 +83,12 @@ class MemoryObject:
                 % (offset, size, self.name, self.size)
             )
         return (self.addr + offset, size)
+
+    def precompute_prefixes(self, sizes):
+        """Fill :attr:`prefix` with ``field(0, n)`` for each ``n`` in
+        ``sizes``: built once, each still bounds-checked by
+        :meth:`field`, here rather than on every use."""
+        self.prefix = {size: self.field(0, size) for size in sizes}
 
     def lines(self, offset=0, size=None):
         """Cache-line indices of a sub-range (whole object by default)."""

@@ -11,17 +11,16 @@ per-CPU *completion* queue of transmitted clones freed by
 ``net_tx_action``.
 """
 
-from repro.net.params import base_instructions
-
 
 def dev_queue_xmit(ctx, stack, nic, skb, packet):
     """Queue a frame to the NIC: lock, descriptor fill, doorbell."""
     specs = stack.specs
+    instr = stack.instr
     tx_lock = nic.tx_lock_for(packet.conn_id)
     yield ("spin", tx_lock)
     ctx.charge(
         specs["dev_queue_xmit"],
-        base_instructions("dev_queue_xmit"),
+        instr["dev_queue_xmit"],
         reads=[skb.head_range(64)],
         writes=[(nic.regs.addr, 32)],
     )
@@ -30,7 +29,7 @@ def dev_queue_xmit(ctx, stack, nic, skb, packet):
     # posted-write / ordering cost on this chipset generation).
     ctx.charge(
         specs["e1000_xmit_frame"],
-        base_instructions("e1000_xmit_frame"),
+        instr["e1000_xmit_frame"],
         reads=[skb.head_range(128)],
         writes=[desc],
         extra_cycles=250,
@@ -55,19 +54,20 @@ def dev_queue_xmit_lso(ctx, stack, nic, desc_skb, frames):
     handed them, which is exactly one header per large send.
     """
     specs = stack.specs
+    instr = stack.instr
     conn_id = frames[0][1].conn_id
     tx_lock = nic.tx_lock_for(conn_id)
     yield ("spin", tx_lock)
     ctx.charge(
         specs["dev_queue_xmit"],
-        base_instructions("dev_queue_xmit"),
+        instr["dev_queue_xmit"],
         reads=[desc_skb.head_range(64)],
         writes=[(nic.regs.addr, 32)],
     )
     desc = nic.next_tx_desc()
     ctx.charge(
         specs["e1000_xmit_frame"],
-        base_instructions("e1000_xmit_frame"),
+        instr["e1000_xmit_frame"],
         reads=[desc_skb.head_range(128)],
         writes=[desc],
         extra_cycles=250,
@@ -87,6 +87,7 @@ class SoftnetData:
         self.backlog = []
         self.completion_queue = []
         self.obj = machine.space.alloc("softnet_data%d" % cpu_index, 256)
+        self._head = self.obj.field(0, 64)
         self.backlog_peak = 0
 
     def enqueue_backlog(self, skb):
@@ -95,4 +96,4 @@ class SoftnetData:
             self.backlog_peak = len(self.backlog)
 
     def head_range(self):
-        return self.obj.field(0, 64)
+        return self._head

@@ -17,13 +17,22 @@ PER_CPU_FREELIST_MAX = 64
 #: Byte size of the sk_buff metadata object.
 SKB_HEAD_SIZE = 256
 
+#: The leading byte counts of the metadata the stack charges
+#: (:meth:`SkBuff.head_range`).
+HEAD_RANGE_SIZES = (64, 128, SKB_HEAD_SIZE)
+
 
 class SlabCache:
     """A size-class allocator with per-CPU freelists."""
 
-    def __init__(self, name, obj_size, space, n_cpus):
+    def __init__(self, name, obj_size, space, n_cpus, prefix_sizes=()):
         self.name = name
         self.obj_size = obj_size
+        #: Leading ranges precomputed on every object this cache
+        #: creates (:meth:`~repro.mem.layout.MemoryObject.
+        #: precompute_prefixes`); objects are recycled, so each is
+        #: built once per object, not per allocation.
+        self.prefix_sizes = prefix_sizes
         self._space = space
         self._per_cpu = [[] for _ in range(n_cpus)]
         self._global = []
@@ -54,6 +63,8 @@ class SlabCache:
             obj = self._space.alloc(
                 "%s#%d" % (self.name, self.created), self.obj_size
             )
+            if self.prefix_sizes:
+                obj.precompute_prefixes(self.prefix_sizes)
         self._free_ids.discard(id(obj))
         return obj
 
@@ -146,12 +157,15 @@ class SkBuff:
         return self.data.field(self.HEADER_BYTES + offset, size)
 
     def header_range(self):
-        """(addr, size) of the protocol header area."""
-        return self.data.field(0, self.HEADER_BYTES)
+        """(addr, size) of the protocol header area (precomputed on
+        slab data objects)."""
+        return self.data.prefix[self.HEADER_BYTES]
 
     def head_range(self, size=SKB_HEAD_SIZE):
-        """(addr, size) of the sk_buff metadata."""
-        return self.head.field(0, min(size, self.head.size))
+        """(addr, size) of the first ``size`` bytes of the sk_buff
+        metadata, one of :data:`HEAD_RANGE_SIZES` (precomputed on slab
+        head objects)."""
+        return self.head.prefix[size]
 
     def room(self, mss):
         """Payload bytes this skb can still take (transmit coalescing)."""
@@ -169,10 +183,12 @@ class SkbPools:
     def __init__(self, machine, params):
         self.machine = machine
         self.head_cache = SlabCache(
-            "skb_head", SKB_HEAD_SIZE, machine.space, machine.n_cpus
+            "skb_head", SKB_HEAD_SIZE, machine.space, machine.n_cpus,
+            prefix_sizes=HEAD_RANGE_SIZES,
         )
         self.data_cache = SlabCache(
-            "skb_data", params.skb_truesize, machine.space, machine.n_cpus
+            "skb_data", params.skb_truesize, machine.space, machine.n_cpus,
+            prefix_sizes=(SkBuff.HEADER_BYTES,),
         )
         machine.add_resettable(self.head_cache)
         machine.add_resettable(self.data_cache)
@@ -182,7 +198,7 @@ class SkbPools:
 
     def alloc(self, ctx, spec, base_instructions, conn=None):
         """``alloc_skb``: charge buffer-mgmt work, return a fresh skb."""
-        cpu_index = ctx.cpu_index
+        cpu_index = ctx.cpu.index
         head = self.head_cache.alloc(cpu_index)
         data = self.data_cache.alloc(cpu_index)
         skb = SkBuff(head, data, conn=conn)
@@ -203,7 +219,7 @@ class SkbPools:
         A clone returns only its metadata; the shared data buffer is
         owned by the original (retransmit-queue) skb, as in Linux.
         """
-        cpu_index = ctx.cpu_index
+        cpu_index = ctx.cpu.index
         ctx.charge(
             spec,
             base_instructions,
@@ -221,7 +237,7 @@ class SkbPools:
 
     def clone(self, ctx, spec, base_instructions, skb):
         """``skb_clone``: new metadata sharing the original's data."""
-        head = self.head_cache.alloc(ctx.cpu_index)
+        head = self.head_cache.alloc(ctx.cpu.index)
         clone = SkBuff(head, skb.data, conn=skb.conn)
         clone.len = skb.len
         clone.seq = skb.seq

@@ -16,6 +16,12 @@ from repro.kernel.task import WaitQueue
 SOCK_SIZE = 2048
 TCB_BYTES = 1024
 
+#: The byte counts the stack charges from the start of the control
+#: block (``Sock.tcb``) and of the buffer-accounting region
+#: (``Sock.buf``).
+TCB_RANGE_SIZES = (32, 48, 64, 96, 128, 192, 256, 320, 512, 576, 640)
+BUF_RANGE_SIZES = (32, 48, 64, 96, 128, 192)
+
 #: Bound on the out-of-order reassembly queue; beyond this the segment
 #: is dropped and the sender's retransmission covers the range (2.4
 #: similarly sheds ofo segments under rmem pressure).
@@ -54,6 +60,13 @@ class Sock:
         self.rcvbuf = params.rcvbuf
         self.max_window = params.max_window
         self.obj = machine.space.alloc("sock:%s" % name, SOCK_SIZE)
+        #: ``(addr, size)`` of the first ``n`` bytes of the control
+        #: block (``tcb[n]``, the Engine working set) and of the
+        #: buffer-accounting region (``buf[n]``: queues, wmem/rmem
+        #: counters), for every ``n`` the stack charges.  Built once:
+        #: these are the most frequent ranges in the simulator.
+        self.tcb = {size: self.tcb_range(size) for size in TCB_RANGE_SIZES}
+        self.buf = {size: self.buf_range(size) for size in BUF_RANGE_SIZES}
         self.lock = machine.new_lock("sk_lock:%s" % name)
         self.snd_wq = WaitQueue("snd:%s" % name)
         self.rcv_wq = WaitQueue("rcv:%s" % name)
@@ -143,18 +156,14 @@ class Sock:
     # Memory ranges for cache modelling.
     # ------------------------------------------------------------------
 
-    def tcb_read(self, size=576):
-        """The engine's working set inside the control block."""
+    def tcb_range(self, size):
+        """The first ``size`` bytes of the control block (clamped to
+        it); the hot paths use the prebuilt :attr:`tcb` table."""
         return self.obj.field(0, min(size, TCB_BYTES))
 
-    def tcb_write(self, size=192):
-        return self.obj.field(0, min(size, TCB_BYTES))
-
-    def buf_read(self, size=192):
-        """The buffer-accounting region (queues, wmem/rmem counters)."""
-        return self.obj.field(TCB_BYTES, size)
-
-    def buf_write(self, size=128):
+    def buf_range(self, size):
+        """The first ``size`` bytes of the buffer-accounting region;
+        the hot paths use the prebuilt :attr:`buf` table."""
         return self.obj.field(TCB_BYTES, size)
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.net.copies import charge_rx_copy, charge_toe_rx_placement
 from repro.net.dev import SoftnetData
 from repro.net.nic import Nic
 from repro.net.params import (
+    FUNCTION_PROFILES,
     LOCK_HOLD_NOMINAL_CYCLES,
     TOE_DOORBELL_INSTRUCTIONS,
     NetParams,
@@ -164,6 +165,11 @@ class NetworkStack:
             (self.params.lock_hold_scale - 1.0) * LOCK_HOLD_NOMINAL_CYCLES
         ))
         self.specs = register_profiles(machine.functions)
+        #: Per-invocation base instruction budget of every profiled
+        #: function (``base_instructions``), resolved once.
+        self.instr = {
+            name: base_instructions(name) for name in FUNCTION_PROFILES
+        }
         self.pools = SkbPools(machine, self.params)
         self.softnet = [
             SoftnetData(machine, i) for i in range(machine.n_cpus)
@@ -300,10 +306,11 @@ class NetworkStack:
     def _make_isr(self, nic):
         def isr(ctx):
             specs = self.specs
+            instr = self.instr
             # ICR read: an uncached MMIO read costs hundreds of cycles.
             ctx.charge(
                 specs["e1000_intr"],
-                base_instructions("e1000_intr"),
+                instr["e1000_intr"],
                 reads=[(nic.regs.addr, 64)],
                 extra_cycles=350,
             )
@@ -312,7 +319,7 @@ class NetworkStack:
                 softnet = self.softnet[ctx.cpu_index]
                 ctx.charge(
                     specs["e1000_clean_tx_irq"],
-                    base_instructions("e1000_clean_tx_irq")
+                    instr["e1000_clean_tx_irq"]
                     + 25 * len(tx_done),
                     reads=[nic.tx_ring.field(0, 16 * min(64, len(tx_done)))],
                     writes=[softnet.head_range()],
@@ -323,14 +330,14 @@ class NetworkStack:
                 softnet = self.softnet[ctx.cpu_index]
                 ctx.charge(
                     specs["e1000_clean_rx_irq"],
-                    base_instructions("e1000_clean_rx_irq")
+                    instr["e1000_clean_rx_irq"]
                     + 30 * len(rx_frames),
                     reads=[nic.rx_ring.field(0, 16 * min(64, len(rx_frames)))],
                 )
                 for _, skb in rx_frames:
                     ctx.charge(
                         specs["netif_rx"],
-                        base_instructions("netif_rx"),
+                        instr["netif_rx"],
                         writes=[skb.head_range(256), softnet.head_range()],
                     )
                     softnet.enqueue_backlog(skb)
@@ -340,13 +347,13 @@ class NetworkStack:
                 if deficit > 0:
                     ctx.charge(
                         specs["e1000_alloc_rx_buffers"],
-                        base_instructions("e1000_alloc_rx_buffers"),
+                        instr["e1000_alloc_rx_buffers"],
                         writes=[nic.rx_ring.field(0, 16 * deficit)],
                     )
                     for _ in range(deficit):
                         skb = self.pools.alloc(
                             ctx, specs["alloc_skb"],
-                            base_instructions("alloc_skb"),
+                            instr["alloc_skb"],
                         )
                         nic.post_rx(skb)
 
@@ -359,9 +366,10 @@ class NetworkStack:
 
         def isr(ctx):
             specs = self.specs
+            instr = self.instr
             ctx.charge(
                 specs["e1000_intr"],
-                base_instructions("e1000_intr"),
+                instr["e1000_intr"],
                 reads=[(nic.regs.addr, 64)],
                 extra_cycles=350,
             )
@@ -370,7 +378,7 @@ class NetworkStack:
                 softnet = self.softnet[ctx.cpu_index]
                 ctx.charge(
                     specs["e1000_clean_tx_irq"],
-                    base_instructions("e1000_clean_tx_irq")
+                    instr["e1000_clean_tx_irq"]
                     + 25 * len(tx_done),
                     reads=[nic.tx_ring.field(0, 16 * min(64, len(tx_done)))],
                     writes=[softnet.head_range()],
@@ -381,14 +389,14 @@ class NetworkStack:
                 softnet = self.softnet[ctx.cpu_index]
                 ctx.charge(
                     specs["e1000_clean_rx_irq"],
-                    base_instructions("e1000_clean_rx_irq")
+                    instr["e1000_clean_rx_irq"]
                     + 30 * len(rx_frames),
                     reads=[rxq.ring.field(0, 16 * min(64, len(rx_frames)))],
                 )
                 for _, skb in rx_frames:
                     ctx.charge(
                         specs["netif_rx"],
-                        base_instructions("netif_rx"),
+                        instr["netif_rx"],
                         writes=[skb.head_range(256), softnet.head_range()],
                     )
                     softnet.enqueue_backlog(skb)
@@ -397,13 +405,13 @@ class NetworkStack:
                 if deficit > 0:
                     ctx.charge(
                         specs["e1000_alloc_rx_buffers"],
-                        base_instructions("e1000_alloc_rx_buffers"),
+                        instr["e1000_alloc_rx_buffers"],
                         writes=[rxq.ring.field(0, 16 * deficit)],
                     )
                     for _ in range(deficit):
                         skb = self.pools.alloc(
                             ctx, specs["alloc_skb"],
-                            base_instructions("alloc_skb"),
+                            instr["alloc_skb"],
                         )
                         rxq.post_rx(skb)
 
@@ -419,16 +427,17 @@ class NetworkStack:
     def _net_tx_action(self, ctx):
         """Free transmitted clones (dev_kfree_skb_irq completion)."""
         specs = self.specs
+        instr = self.instr
         softnet = self.softnet[ctx.cpu_index]
         queue, softnet.completion_queue = softnet.completion_queue, []
         ctx.charge(
             specs["net_tx_action"],
-            base_instructions("net_tx_action"),
+            instr["net_tx_action"],
             reads=[softnet.head_range()],
         )
         for skb in queue:
             self.pools.free(
-                ctx, specs["kfree_skb"], base_instructions("kfree_skb"), skb
+                ctx, specs["kfree_skb"], instr["kfree_skb"], skb
             )
         return
         yield  # pragma: no cover -- marks this as a generator
@@ -448,7 +457,7 @@ class NetworkStack:
         ctx.charge(
             self.specs["sock_sendmsg"],
             20,
-            writes=[sock.buf_write(32)],
+            writes=[sock.buf[32]],
             extra_cycles=self._lock_hold_extra,
         )
         sock.owned = True
@@ -459,13 +468,14 @@ class NetworkStack:
         in *our* context, on *our* CPU (``__release_sock``)."""
         sock = conn.sock
         specs = self.specs
+        instr = self.instr
         yield ("spin", sock.lock)
         while sock.backlog:
             skb = sock.backlog.pop(0)
             ctx.unlock(sock.lock)
             ctx.charge(
                 specs["skb_queue_ops"],
-                base_instructions("skb_queue_ops"),
+                instr["skb_queue_ops"],
                 reads=[(skb.head.addr, 64)],
             )
             for op in process_segment(ctx, self, conn, skb):
@@ -484,8 +494,8 @@ class NetworkStack:
             yield ("spin", sock.lock)
             ctx.charge(
                 self.specs["tcp_delack_timer"],
-                base_instructions("tcp_delack_timer"),
-                reads=[sock.tcb_read(96)],
+                self.instr["tcp_delack_timer"],
+                reads=[sock.tcb[96]],
             )
             if sock.owned:
                 # Socket busy in process context: retry shortly (the
@@ -507,8 +517,8 @@ class NetworkStack:
             yield ("spin", sock.lock)
             ctx.charge(
                 self.specs["tcp_write_timer"],
-                base_instructions("tcp_write_timer"),
-                reads=[sock.tcb_read(96)],
+                self.instr["tcp_write_timer"],
+                reads=[sock.tcb[96]],
             )
             if sock.owned:
                 ctx.unlock(sock.lock)
@@ -535,8 +545,8 @@ class NetworkStack:
         """(Re)arm the retransmit timer -- mod_timer churn on ACKs."""
         ctx.charge(
             self.specs["mod_timer"],
-            base_instructions("mod_timer"),
-            writes=[conn.sock.buf_write(32)],
+            self.instr["mod_timer"],
+            writes=[conn.sock.buf[32]],
         )
         if conn.rexmit_armed:
             self.machine.del_timer(conn.rexmit_timer)
@@ -550,10 +560,11 @@ class NetworkStack:
     def sys_write(self, ctx, conn, nbytes):
         """``write(fd, buf, nbytes)`` on a blocking TCP socket."""
         specs = self.specs
+        instr = self.instr
         task_struct = ctx.task._struct
         ctx.charge(
             specs["sys_write"],
-            base_instructions("sys_write"),
+            instr["sys_write"],
             reads=[(task_struct.addr, 128), (conn.file_obj.addr, 64)],
         )
         if self.params.toe:
@@ -567,13 +578,13 @@ class NetworkStack:
         else:
             ctx.charge(
                 specs["sock_sendmsg"],
-                base_instructions("sock_sendmsg"),
-                reads=[(conn.file_obj.addr, 64), conn.sock.buf_read(64)],
+                instr["sock_sendmsg"],
+                reads=[(conn.file_obj.addr, 64), conn.sock.buf[64]],
             )
             ctx.charge(
                 specs["inet_sendmsg"],
-                base_instructions("inet_sendmsg"),
-                reads=[conn.sock.tcb_read(64)],
+                instr["inet_sendmsg"],
+                reads=[conn.sock.tcb[64]],
             )
         copied = yield from tcp_sendmsg(ctx, self, conn, nbytes)
         return copied
@@ -581,11 +592,12 @@ class NetworkStack:
     def sys_read(self, ctx, conn, nbytes):
         """``read(fd, buf, nbytes)``: blocks only when no data at all."""
         specs = self.specs
+        instr = self.instr
         sock = conn.sock
         task_struct = ctx.task._struct
         ctx.charge(
             specs["sys_read"],
-            base_instructions("sys_read"),
+            instr["sys_read"],
             reads=[(task_struct.addr, 128), (conn.file_obj.addr, 64)],
         )
         if self.params.toe:
@@ -599,19 +611,19 @@ class NetworkStack:
         else:
             ctx.charge(
                 specs["sock_recvmsg"],
-                base_instructions("sock_recvmsg"),
-                reads=[(conn.file_obj.addr, 64), sock.buf_read(64)],
+                instr["sock_recvmsg"],
+                reads=[(conn.file_obj.addr, 64), sock.buf[64]],
             )
             ctx.charge(
                 specs["inet_recvmsg"],
-                base_instructions("inet_recvmsg"),
-                reads=[sock.tcb_read(64)],
+                instr["inet_recvmsg"],
+                reads=[sock.tcb[64]],
             )
         ctx.charge(
             specs["tcp_recvmsg"],
-            base_instructions("tcp_recvmsg"),
-            reads=[sock.tcb_read(128)],
-            writes=[sock.tcb_write(48)],
+            instr["tcp_recvmsg"],
+            reads=[sock.tcb[128]],
+            writes=[sock.tcb[48]],
         )
         copied = 0
         for op in self.lock_sock(ctx, conn):
@@ -638,8 +650,8 @@ class NetworkStack:
                     yield op
                 ctx.charge(
                     specs["sock_wait"],
-                    base_instructions("sock_wait"),
-                    reads=[sock.buf_read(64)],
+                    instr["sock_wait"],
+                    reads=[sock.buf[64]],
                 )
                 if self.params.toe:
                     # TOE posted-buffer completion: the NIC fills the
@@ -669,7 +681,7 @@ class NetworkStack:
             ctx.charge(
                 specs["tcp_recvmsg"],
                 55,
-                reads=[sock.tcb_read(64), skb.head_range(64)],
+                reads=[sock.tcb[64], skb.head_range(64)],
             )
             if self.params.toe:
                 # Direct data placement: the NIC DMAed the payload
@@ -705,26 +717,26 @@ class NetworkStack:
                 sock.rmem_queued -= skb.truesize
                 ctx.charge(
                     specs["skb_queue_ops"],
-                    base_instructions("skb_queue_ops"),
-                    reads=[sock.buf_read(96)],
-                    writes=[sock.buf_write(128)],
+                    instr["skb_queue_ops"],
+                    reads=[sock.buf[96]],
+                    writes=[sock.buf[128]],
                 )
                 ctx.charge(
                     specs["sk_stream_mem"],
-                    base_instructions("sk_stream_mem"),
-                    reads=[sock.buf_read(96)],
-                    writes=[sock.buf_write(96)],
+                    instr["sk_stream_mem"],
+                    reads=[sock.buf[96]],
+                    writes=[sock.buf[96]],
                 )
                 self.pools.free(
                     ctx, specs["kfree_skb"],
-                    base_instructions("kfree_skb"), skb,
+                    instr["kfree_skb"], skb,
                 )
             # Window management: a drained buffer may owe the sender a
             # window update (tcp_cleanup_rbuf).
             ctx.charge(
                 specs["__tcp_select_window"],
-                base_instructions("__tcp_select_window"),
-                reads=[sock.tcb_read(64)],
+                instr["__tcp_select_window"],
+                reads=[sock.tcb[64]],
             )
             if sock.window_update_due():
                 for op in tcp_send_ack(ctx, self, conn):
@@ -742,10 +754,11 @@ class NetworkStack:
         sleeps here until the third leg lands.
         """
         specs = self.specs
+        instr = self.instr
         sock = conn.sock
         ctx.charge(
             specs["sys_accept"],
-            base_instructions("sys_accept"),
+            instr["sys_accept"],
             reads=[(ctx.task._struct.addr, 128), (conn.file_obj.addr, 64)],
             writes=[(conn.file_obj.addr, 32)],
         )
@@ -760,21 +773,22 @@ class NetworkStack:
         time the server closes, so the reset is residue-free.
         """
         specs = self.specs
+        instr = self.instr
         sock = conn.sock
         for op in self.lock_sock(ctx, conn):
             yield op
         ctx.charge(
             specs["tcp_fin"],
-            base_instructions("tcp_fin"),
-            reads=[sock.tcb_read(192)],
-            writes=[sock.tcb_write(96)],
+            instr["tcp_fin"],
+            reads=[sock.tcb[192]],
+            writes=[sock.tcb[96]],
         )
         for op in send_control(ctx, self, conn, "finack"):
             yield op
         ctx.charge(
             specs["inet_csk_destroy_sock"],
-            base_instructions("inet_csk_destroy_sock"),
-            reads=[sock.buf_read(128)],
+            instr["inet_csk_destroy_sock"],
+            reads=[sock.buf[128]],
             writes=[(sock.obj.addr, 512)],
         )
         if conn.rexmit_armed:

@@ -20,7 +20,6 @@ from repro.net.params import (
     NIC_ENGINE_RCV_CYCLES,
     TOE_ACK_COMPLETION_INSTRUCTIONS,
     TOE_RCV_COMPLETION_INSTRUCTIONS,
-    base_instructions,
 )
 from repro.net.tcp_output import (
     send_control,
@@ -40,10 +39,11 @@ FAST_RETRANSMIT_DUPACKS = 3
 def net_rx_action(ctx, stack):
     """The NET_RX softirq handler."""
     specs = stack.specs
+    instr = stack.instr
     softnet = stack.softnet[ctx.cpu_index]
     ctx.charge(
         specs["net_rx_action"],
-        base_instructions("net_rx_action"),
+        instr["net_rx_action"],
         reads=[softnet.head_range()],
     )
     budget = NET_RX_BUDGET
@@ -56,28 +56,28 @@ def net_rx_action(ctx, stack):
         # the paper's RX Timers bin is this do_gettimeofday call).
         ctx.charge(
             specs["do_gettimeofday"],
-            base_instructions("do_gettimeofday"),
+            instr["do_gettimeofday"],
             reads=[(stack.xtime.addr, 64)],
             extra_cycles=700,  # rdtsc + serialization on the P4
         )
         ctx.charge(
             specs["ip_rcv"],
-            base_instructions("ip_rcv"),
+            instr["ip_rcv"],
             reads=[skb.header_range(), skb.head_range(64)],
         )
         ctx.charge(
             specs["tcp_v4_rcv"],
-            base_instructions("tcp_v4_rcv"),
-            reads=[sock.tcb_read(320), (stack.ehash.addr, 64)],
+            instr["tcp_v4_rcv"],
+            reads=[sock.tcb[320], (stack.ehash.addr, 64)],
         )
         yield ("spin", sock.lock)
         if sock.owned:
             # Owner is mid-syscall: defer to its context.
             ctx.charge(
                 specs["skb_queue_ops"],
-                base_instructions("skb_queue_ops"),
-                reads=[sock.buf_read(48)],
-                writes=[sock.buf_write(128), (skb.head.addr, 128)],
+                instr["skb_queue_ops"],
+                reads=[sock.buf[48]],
+                writes=[sock.buf[128], (skb.head.addr, 128)],
             )
             sock.backlog.append(skb)
             sock.backlogged_total += 1
@@ -98,23 +98,24 @@ def process_segment(ctx, stack, conn, skb):
     context during backlog drain (socket owned).
     """
     specs = stack.specs
+    instr = stack.instr
     ctx.charge(
         specs["tcp_v4_do_rcv"],
-        base_instructions("tcp_v4_do_rcv"),
-        reads=[conn.sock.tcb_read(64)],
+        instr["tcp_v4_do_rcv"],
+        reads=[conn.sock.tcb[64]],
     )
     if skb.pkt.ctl is not None:
         for op in handle_control(ctx, stack, conn, skb):
             yield op
         stack.pools.free(
-            ctx, specs["kfree_skb"], base_instructions("kfree_skb"), skb
+            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
         )
         return
     if skb.is_ack or skb.len == 0:
         for op in tcp_ack(ctx, stack, conn, skb):
             yield op
         stack.pools.free(
-            ctx, specs["kfree_skb"], base_instructions("kfree_skb"), skb
+            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
         )
     else:
         for op in tcp_rcv_established(ctx, stack, conn, skb):
@@ -127,19 +128,20 @@ def handle_control(ctx, stack, conn, skb):
     """
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     ctl = skb.pkt.ctl
     if ctl == "syn":
         # tcp_v4_conn_request + minisock allocation.
         ctx.charge(
             specs["tcp_v4_conn_request"],
-            base_instructions("tcp_v4_conn_request"),
-            reads=[sock.tcb_read(320), (stack.ehash.addr, 128)],
-            writes=[sock.tcb_write(128)],
+            instr["tcp_v4_conn_request"],
+            reads=[sock.tcb[320], (stack.ehash.addr, 128)],
+            writes=[sock.tcb[128]],
         )
         ctx.charge(
             specs["tcp_create_openreq_child"],
-            base_instructions("tcp_create_openreq_child"),
-            reads=[sock.buf_read(128)],
+            instr["tcp_create_openreq_child"],
+            reads=[sock.buf[128]],
             writes=[(sock.obj.addr, 512)],
         )
         for op in send_control(ctx, stack, conn, "synack"):
@@ -147,9 +149,9 @@ def handle_control(ctx, stack, conn, skb):
     elif ctl == "estab_ack":
         ctx.charge(
             specs["tcp_v4_syn_recv_sock"],
-            base_instructions("tcp_v4_syn_recv_sock"),
-            reads=[sock.tcb_read(256)],
-            writes=[sock.tcb_write(128)],
+            instr["tcp_v4_syn_recv_sock"],
+            reads=[sock.tcb[256]],
+            writes=[sock.tcb[128]],
         )
         sock.established = True
         if sock.rcv_wq.waiters:
@@ -157,9 +159,9 @@ def handle_control(ctx, stack, conn, skb):
     elif ctl == "fin":
         ctx.charge(
             specs["tcp_fin"],
-            base_instructions("tcp_fin"),
-            reads=[sock.tcb_read(192)],
-            writes=[sock.tcb_write(96)],
+            instr["tcp_fin"],
+            reads=[sock.tcb[192]],
+            writes=[sock.tcb[96]],
         )
         sock.fin_received = True
         if sock.rcv_wq.waiters:
@@ -177,6 +179,7 @@ def tcp_ack(ctx, stack, conn, skb):
     open the window, wake a blocked writer, continue transmitting."""
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     toe = stack.params.toe
     sock.acks_in += 1
     if toe:
@@ -186,15 +189,15 @@ def tcp_ack(ctx, stack, conn, skb):
         ctx.charge(
             specs["tcp_ack"],
             TOE_ACK_COMPLETION_INSTRUCTIONS,
-            reads=[sock.tcb_read(64), skb.header_range()],
-            writes=[sock.tcb_write(32)],
+            reads=[sock.tcb[64], skb.header_range()],
+            writes=[sock.tcb[32]],
         )
     else:
         ctx.charge(
             specs["tcp_ack"],
-            base_instructions("tcp_ack"),
-            reads=[sock.tcb_read(576), skb.header_range()],
-            writes=[sock.tcb_write(256)],
+            instr["tcp_ack"],
+            reads=[sock.tcb[576], skb.header_range()],
+            writes=[sock.tcb[256]],
         )
     old_una = sock.snd_una
     freed = sock.ack_clean(skb.pkt.ack_seq)
@@ -223,12 +226,12 @@ def tcp_ack(ctx, stack, conn, skb):
         else:
             ctx.charge(
                 specs["sk_stream_mem"],
-                base_instructions("sk_stream_mem"),
-                reads=[sock.buf_read(64)],
-                writes=[sock.buf_write(48)],
+                instr["sk_stream_mem"],
+                reads=[sock.buf[64]],
+                writes=[sock.buf[48]],
             )
             stack.pools.free(
-                ctx, specs["kfree_skb"], base_instructions("kfree_skb"),
+                ctx, specs["kfree_skb"], instr["kfree_skb"],
                 acked,
             )
         conn.bytes_acked += acked.len
@@ -237,8 +240,8 @@ def tcp_ack(ctx, stack, conn, skb):
     # Timers bin.
     if sock.in_flight == 0:
         if conn.rexmit_armed:
-            ctx.charge(specs["del_timer"], base_instructions("del_timer"),
-                       writes=[sock.buf_write(32)])
+            ctx.charge(specs["del_timer"], instr["del_timer"],
+                       writes=[sock.buf[32]])
             stack.machine.del_timer(sock.rexmit_timer)
             conn.rexmit_armed = False
     else:
@@ -260,6 +263,7 @@ def tcp_rcv_established(ctx, stack, conn, skb):
     """Fast-path receive: queue data, schedule ACK, wake the reader."""
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     params = stack.params
     if not params.rx_csum_offload and skb.len > 0:
         from repro.net.copies import charge_rx_csum
@@ -273,17 +277,17 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         ctx.charge(
             specs["tcp_rcv_established"],
             TOE_RCV_COMPLETION_INSTRUCTIONS,
-            reads=[sock.tcb_read(64), skb.header_range()],
-            writes=[sock.tcb_write(32)],
+            reads=[sock.tcb[64], skb.header_range()],
+            writes=[sock.tcb[32]],
         )
         conn.nic.engine_charge(NIC_ENGINE_RCV_CYCLES, "rcv")
     else:
         ctx.charge(
             specs["tcp_rcv_established"],
-            base_instructions("tcp_rcv_established"),
-            reads=[sock.tcb_read(640), skb.header_range(),
+            instr["tcp_rcv_established"],
+            reads=[sock.tcb[640], skb.header_range(),
                    skb.head_range(128)],
-            writes=[sock.tcb_write(256)],
+            writes=[sock.tcb[256]],
         )
     # Fault-induced slow paths (duplicate, gap, overlap).  The loss-free
     # fast path falls straight through all three tests without charging
@@ -294,7 +298,7 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         sock.dup_segs_in += 1
         sock.dup_acks_out += 1
         stack.pools.free(
-            ctx, specs["kfree_skb"], base_instructions("kfree_skb"), skb
+            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
         )
         for op in tcp_send_ack(ctx, stack, conn):
             yield op
@@ -305,13 +309,13 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         # (tcp_data_queue's out-of-order arm).
         ctx.charge(
             specs["skb_queue_ops"],
-            base_instructions("skb_queue_ops"),
-            reads=[sock.buf_read(64)],
-            writes=[sock.buf_write(128), (skb.head.addr, 256)],
+            instr["skb_queue_ops"],
+            reads=[sock.buf[64]],
+            writes=[sock.buf[128], (skb.head.addr, 256)],
         )
         if not sock.enqueue_ooo(skb):
             stack.pools.free(
-                ctx, specs["kfree_skb"], base_instructions("kfree_skb"), skb
+                ctx, specs["kfree_skb"], instr["kfree_skb"], skb
             )
         sock.dup_acks_out += 1
         for op in tcp_send_ack(ctx, stack, conn):
@@ -325,15 +329,15 @@ def tcp_rcv_established(ctx, stack, conn, skb):
     sock.receive_data(skb)
     ctx.charge(
         specs["skb_queue_ops"],
-        base_instructions("skb_queue_ops"),
-        reads=[sock.buf_read(64)],
-        writes=[sock.buf_write(128), (skb.head.addr, 256)],
+        instr["skb_queue_ops"],
+        reads=[sock.buf[64]],
+        writes=[sock.buf[128], (skb.head.addr, 256)],
     )
     ctx.charge(
         specs["sk_stream_mem"],
-        base_instructions("sk_stream_mem"),
-        reads=[sock.buf_read(96)],
-        writes=[sock.buf_write(96)],
+        instr["sk_stream_mem"],
+        reads=[sock.buf[96]],
+        writes=[sock.buf[96]],
     )
     sock.segs_since_ack += 1
     # The in-order arrival may have filled the gap in front of held
@@ -343,7 +347,7 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         if held.end_seq <= sock.rcv_nxt:
             sock.dup_segs_in += 1
             stack.pools.free(
-                ctx, specs["kfree_skb"], base_instructions("kfree_skb"),
+                ctx, specs["kfree_skb"], instr["kfree_skb"],
                 held,
             )
             continue
@@ -353,23 +357,23 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         sock.receive_data(held)
         ctx.charge(
             specs["skb_queue_ops"],
-            base_instructions("skb_queue_ops"),
-            reads=[sock.buf_read(64)],
-            writes=[sock.buf_write(128), (held.head.addr, 256)],
+            instr["skb_queue_ops"],
+            reads=[sock.buf[64]],
+            writes=[sock.buf[128], (held.head.addr, 256)],
         )
         ctx.charge(
             specs["sk_stream_mem"],
-            base_instructions("sk_stream_mem"),
-            reads=[sock.buf_read(96)],
-            writes=[sock.buf_write(96)],
+            instr["sk_stream_mem"],
+            reads=[sock.buf[96]],
+            writes=[sock.buf[96]],
         )
         sock.segs_since_ack += 1
     if sock.segs_since_ack >= params.ack_every:
         for op in tcp_send_ack(ctx, stack, conn):
             yield op
     elif not sock.delack_pending:
-        ctx.charge(specs["mod_timer"], base_instructions("mod_timer"),
-                   writes=[sock.buf_write(32)])
+        ctx.charge(specs["mod_timer"], instr["mod_timer"],
+                   writes=[sock.buf[32]])
         ctx.add_timer(sock.delack_timer, params.delack_cycles)
         sock.delack_pending = True
     if sock.rcv_wq.waiters:

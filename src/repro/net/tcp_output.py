@@ -10,7 +10,6 @@ paper's bins: engine work here, buffer management in
 from repro.net.copies import charge_toe_tx_handoff, charge_tx_copy
 from repro.net.dev import dev_queue_xmit, dev_queue_xmit_lso
 from repro.net.packet import ack_packet, control_packet, data_packet
-from repro.net.params import base_instructions
 
 
 def tcp_sendmsg(ctx, stack, conn, nbytes):
@@ -25,14 +24,15 @@ def tcp_sendmsg(ctx, stack, conn, nbytes):
     """
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     params = stack.params
     mss = params.mss
     copied = 0
     ctx.charge(
         specs["tcp_sendmsg"],
-        base_instructions("tcp_sendmsg"),
-        reads=[sock.tcb_read()],
-        writes=[sock.tcb_write(64)],
+        instr["tcp_sendmsg"],
+        reads=[sock.tcb[576]],
+        writes=[sock.tcb[64]],
     )
     for op in stack.lock_sock(ctx, conn):
         yield op
@@ -43,14 +43,14 @@ def tcp_sendmsg(ctx, stack, conn, nbytes):
             chunk = min(tail.room(mss), nbytes - copied)
         elif sock.can_queue_skb():
             skb = stack.pools.alloc(
-                ctx, specs["alloc_skb"], base_instructions("alloc_skb"),
+                ctx, specs["alloc_skb"], instr["alloc_skb"],
                 conn=conn,
             )
             ctx.charge(
                 specs["sk_stream_mem"],
-                base_instructions("sk_stream_mem"),
-                reads=[sock.buf_read(96)],
-                writes=[sock.buf_write(64)],
+                instr["sk_stream_mem"],
+                reads=[sock.buf[96]],
+                writes=[sock.buf[64]],
             )
             skb.seq = conn.write_seq
             skb.end_seq = skb.seq
@@ -65,8 +65,8 @@ def tcp_sendmsg(ctx, stack, conn, nbytes):
                 yield op
             ctx.charge(
                 specs["sock_wait"],
-                base_instructions("sock_wait"),
-                reads=[sock.buf_read(64)],
+                instr["sock_wait"],
+                reads=[sock.buf[64]],
             )
             if params.toe:
                 # TOE send-completion moderation: the NIC coalesces
@@ -88,8 +88,8 @@ def tcp_sendmsg(ctx, stack, conn, nbytes):
         ctx.charge(
             specs["tcp_sendmsg"],
             90,
-            reads=[sock.tcb_read(320)],
-            writes=[sock.tcb_write(64)],
+            reads=[sock.tcb[320]],
+            writes=[sock.tcb[64]],
         )
         if params.toe:
             # Zero-copy hand-off: pin pages, build pull descriptors.
@@ -135,6 +135,7 @@ def tcp_write_xmit(ctx, stack, conn):
     """
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     params = stack.params
     if params.tx_seg_offload:
         for op in _tcp_write_xmit_offload(ctx, stack, conn):
@@ -149,8 +150,8 @@ def tcp_write_xmit(ctx, stack, conn):
             break  # Nagle: hold the partial segment while data is out
         ctx.charge(
             specs["tcp_write_xmit"],
-            base_instructions("tcp_write_xmit"),
-            reads=[sock.tcb_read(96)],
+            instr["tcp_write_xmit"],
+            reads=[sock.tcb[96]],
         )
         for op in tcp_transmit_skb(ctx, stack, conn, skb):
             yield op
@@ -178,6 +179,7 @@ def _tcp_write_xmit_offload(ctx, stack, conn):
     """
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     params = stack.params
     burst = []
     while sock.send_head < len(sock.send_queue):
@@ -198,19 +200,19 @@ def _tcp_write_xmit_offload(ctx, stack, conn):
     head = burst[0]
     ctx.charge(
         specs["tcp_write_xmit"],
-        base_instructions("tcp_write_xmit"),
-        reads=[sock.tcb_read(96)],
+        instr["tcp_write_xmit"],
+        reads=[sock.tcb[96]],
     )
     ctx.charge(
         specs["tcp_transmit_skb"],
-        base_instructions("tcp_transmit_skb"),
-        reads=[sock.tcb_read(512), head.head_range(128)],
-        writes=[sock.tcb_write(192), head.header_range()],
+        instr["tcp_transmit_skb"],
+        reads=[sock.tcb[512], head.head_range(128)],
+        writes=[sock.tcb[192], head.header_range()],
     )
     ctx.charge(
         specs["__tcp_select_window"],
-        base_instructions("__tcp_select_window"),
-        reads=[sock.tcb_read(64)],
+        instr["__tcp_select_window"],
+        reads=[sock.tcb[64]],
     )
     window = sock.advertised_window()
     sock.last_window_advertised = window
@@ -224,7 +226,7 @@ def _tcp_write_xmit_offload(ctx, stack, conn):
     desc = stack.pools.clone(ctx, specs["alloc_skb"], 120, head)
     ctx.charge(
         specs["ip_queue_xmit"],
-        base_instructions("ip_queue_xmit"),
+        instr["ip_queue_xmit"],
         reads=[(stack.route_cache.addr, 128)],
         writes=[desc.header_range()],
     )
@@ -236,16 +238,17 @@ def tcp_transmit_skb(ctx, stack, conn, skb):
     """Build headers, clone for the driver, hand to the device queue."""
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     ctx.charge(
         specs["tcp_transmit_skb"],
-        base_instructions("tcp_transmit_skb"),
-        reads=[sock.tcb_read(512), skb.head_range(128)],
-        writes=[sock.tcb_write(192), skb.header_range()],
+        instr["tcp_transmit_skb"],
+        reads=[sock.tcb[512], skb.head_range(128)],
+        writes=[sock.tcb[192], skb.header_range()],
     )
     ctx.charge(
         specs["__tcp_select_window"],
-        base_instructions("__tcp_select_window"),
-        reads=[sock.tcb_read(64)],
+        instr["__tcp_select_window"],
+        reads=[sock.tcb[64]],
     )
     window = sock.advertised_window()
     sock.last_window_advertised = window
@@ -264,9 +267,10 @@ def tcp_transmit_skb(ctx, stack, conn, skb):
 def ip_queue_xmit(ctx, stack, conn, skb, packet):
     """IP output: route lookup (cached), header fill, to the device."""
     specs = stack.specs
+    instr = stack.instr
     ctx.charge(
         specs["ip_queue_xmit"],
-        base_instructions("ip_queue_xmit"),
+        instr["ip_queue_xmit"],
         reads=[(stack.route_cache.addr, 128)],
         writes=[skb.header_range()],
     )
@@ -281,8 +285,9 @@ def send_control(ctx, stack, conn, ctl):
     owns the socket)."""
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     skb = stack.pools.alloc(
-        ctx, specs["alloc_skb"], base_instructions("alloc_skb"), conn=conn
+        ctx, specs["alloc_skb"], instr["alloc_skb"], conn=conn
     )
     skb.is_ack = True  # control segments carry no payload
     packet = control_packet(
@@ -291,7 +296,7 @@ def send_control(ctx, stack, conn, ctl):
     ctx.charge(
         specs["tcp_transmit_skb"],
         150,
-        reads=[sock.tcb_read(128)],
+        reads=[sock.tcb[128]],
         writes=[skb.header_range()],
     )
     for op in ip_queue_xmit(ctx, stack, conn, skb, packet):
@@ -306,11 +311,12 @@ def tcp_retransmit_skb(ctx, stack, conn):
         return  # nothing in flight
     skb = sock.send_queue[0]
     specs = stack.specs
+    instr = stack.instr
     ctx.charge(
         specs["tcp_retransmit_skb"],
-        base_instructions("tcp_retransmit_skb"),
-        reads=[sock.tcb_read(512), skb.head_range(128)],
-        writes=[sock.tcb_write(128), skb.header_range()],
+        instr["tcp_retransmit_skb"],
+        reads=[sock.tcb[512], skb.head_range(128)],
+        writes=[sock.tcb[128], skb.header_range()],
     )
     packet = data_packet(
         conn.conn_id, skb.seq, skb.len,
@@ -331,6 +337,7 @@ def tcp_send_ack(ctx, stack, conn):
     window update from the reader).  Caller holds the socket lock."""
     sock = conn.sock
     specs = stack.specs
+    instr = stack.instr
     if stack.params.toe:
         # NIC-autonomous ACK: the engine builds and emits the ACK
         # itself; the host only cancels its (vestigial) delack timer.
@@ -340,20 +347,20 @@ def tcp_send_ack(ctx, stack, conn):
         sock.segs_since_ack = 0
         sock.acks_out += 1
         if sock.delack_pending:
-            ctx.charge(specs["del_timer"], base_instructions("del_timer"),
-                       writes=[sock.buf_write(32)])
+            ctx.charge(specs["del_timer"], instr["del_timer"],
+                       writes=[sock.buf[32]])
             stack.machine.del_timer(sock.delack_timer)
             sock.delack_pending = False
         conn.nic.engine_ack_xmit(packet, ctx.now)
         return
     ctx.charge(
         specs["tcp_send_ack"],
-        base_instructions("tcp_send_ack"),
-        reads=[sock.tcb_read(96)],
-        writes=[sock.tcb_write(32)],
+        instr["tcp_send_ack"],
+        reads=[sock.tcb[96]],
+        writes=[sock.tcb[32]],
     )
     skb = stack.pools.alloc(
-        ctx, specs["alloc_skb"], base_instructions("alloc_skb"), conn=conn
+        ctx, specs["alloc_skb"], instr["alloc_skb"], conn=conn
     )
     skb.is_ack = True
     window = sock.advertised_window()
@@ -362,14 +369,14 @@ def tcp_send_ack(ctx, stack, conn):
     sock.segs_since_ack = 0
     sock.acks_out += 1
     if sock.delack_pending:
-        ctx.charge(specs["del_timer"], base_instructions("del_timer"),
-                   writes=[sock.buf_write(32)])
+        ctx.charge(specs["del_timer"], instr["del_timer"],
+                   writes=[sock.buf[32]])
         stack.machine.del_timer(sock.delack_timer)
         sock.delack_pending = False
     ctx.charge(
         specs["tcp_transmit_skb"],
         140,
-        reads=[sock.tcb_read(96)],
+        reads=[sock.tcb[96]],
         writes=[skb.header_range()],
     )
     for op in ip_queue_xmit(ctx, stack, conn, skb, packet):

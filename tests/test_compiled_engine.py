@@ -12,12 +12,19 @@ the pure engine is the reference and needs no C compiler.
 """
 
 import json
+import random
+import sysconfig
+import warnings
 
 import pytest
 
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.cpu import engine as engine_mod
 from repro.cpu.engine import load_core, resolve_engine
+from repro.cpu.events import SKID_PERIOD
 from repro.kernel.machine import Machine
+from repro.mem.directory import META_GENERATION, LineDirectory
+from repro.mem.layout import CACHE_LINE
 
 compiled_available = load_core() is not None
 needs_compiled = pytest.mark.skipif(
@@ -153,3 +160,142 @@ class TestCompiledMachineSurface:
         ((key, vec),) = machine.accounting.rows()
         assert key == (0, fn)
         assert vec[-1] == 30  # machine clears ride the last event slot
+
+
+def _bookkeeping(cpu):
+    return (cpu.now, cpu.busy_cycles, cpu.last_spec.name,
+            cpu.skid_spec.name if cpu.skid_spec is not None else None,
+            list(cpu.totals))
+
+
+@needs_compiled
+class TestChargeBookkeeping:
+    """The compiled engine keeps the clock, busy-cycle and oprofile
+    skid bookkeeping in C; after every charge it must equal the pure
+    engine's, in every calling form the machine uses."""
+
+    def _script(self, engine):
+        machine = Machine(n_cpus=1, hyperthreading=True, seed=5,
+                          engine=engine)
+        specs = [
+            machine.functions.register("bk%d" % i, "engine",
+                                       branch_frac=0.05 * (i + 1),
+                                       stall_per_call=40 * i)
+            for i in range(3)
+        ]
+        cpu, sibling = machine.cpus
+        sibling.recent_load = 0.37
+        states = []
+        for k in range(90):
+            spec = specs[k % 3]
+            addr = 4096 * (1 + k % 7)
+            form = k % 4
+            if form == 0:  # ExecContext.charge: all seven positional
+                cpu.charge(spec, 300 + 17 * k, [(addr, 256)], [(addr, 64)],
+                           200 * (k % 5), None, None)
+            elif form == 1:  # Machine._dispatch
+                cpu.charge(spec, 260, reads=[(addr, 256)],
+                           writes=[(addr, 64)], extra_cycles=1500)
+            elif form == 2:  # Machine._charge_spin_wait
+                cpu.charge(spec, 40 + k, reads=[(addr, 4)],
+                           writes=[(addr, 4)], branches=9, mispredicts=1,
+                           extra_cycles=90)
+            else:  # tick / IPI: reads only
+                cpu.charge(spec, 60, reads=[(addr, 64)])
+            states.append(_bookkeeping(cpu))
+        return states
+
+    def test_matches_pure_charge_for_charge(self):
+        pure = self._script("pure")
+        compiled = self._script("compiled")
+        # The script must exercise what it claims to: several skid
+        # samples, and a sibling slowdown on every charge.
+        assert pure[-1][0] > 5 * SKID_PERIOD
+        assert len({state[3] for state in pure}) > 2
+        for k, (p, c) in enumerate(zip(pure, compiled)):
+            assert p == c, "diverged at charge %d" % k
+
+    def test_sibling_must_be_a_compiled_cpu(self):
+        machine = Machine(n_cpus=2, engine="compiled")
+        with pytest.raises(TypeError):
+            machine.cpus[0].sibling = object()
+        machine.cpus[0].sibling = None
+        assert machine.cpus[0].sibling is None
+
+
+@needs_compiled
+class TestDirectoryGrowth:
+    """The C core rehashes a growing directory itself; the result must
+    equal LineDirectory._grow's slot for slot."""
+
+    def test_c_growth_matches_python_grow(self):
+        machine = Machine(n_cpus=2, engine="compiled")
+        memsys = machine.memsys
+        small = LineDirectory(initial_slots=16)
+        memsys.directory = small
+        # Rebuild the engine state over the small directory.
+        state = load_core().build_state({
+            "registry": machine.registry,
+            "accounting": machine.accounting,
+            "memsys": memsys,
+            "costs": machine.costs,
+            "cpus": machine.cpus,
+            "skid_period": SKID_PERIOD,
+        })
+        memsys.bind_state(load_core(), state)
+        fn = machine.functions.register("grow", "engine")
+        cpu0, cpu1 = machine.cpus
+        inserted = []
+        # Scattered lines, so every doubling rehashes colliding keys
+        # (an arithmetic progression would hash collision-free).
+        lines = random.Random(7).sample(range(5000, 1 << 20), 200)
+        for k, line in enumerate(lines):
+            if k % 2:
+                cpu1.charge(fn, 10, writes=[(line * CACHE_LINE, 8)])
+                inserted.append((line, 1 << cpu1.domain, cpu1.domain))
+            else:
+                cpu0.charge(fn, 10, reads=[(line * CACHE_LINE, 8)])
+                inserted.append((line, 1 << cpu0.domain, -1))
+        assert len(small) == len(inserted) == 200
+        assert small._meta[META_GENERATION] >= 4  # grew 16 -> 512
+        oracle = LineDirectory(initial_slots=16)
+        for line, sharers, owner in inserted:
+            oracle.insert(line, sharers, owner)
+        assert small._meta[META_GENERATION] == oracle._meta[META_GENERATION]
+        assert small._keys == oracle._keys
+        assert small._sharers == oracle._sharers
+        assert small._owner == oracle._owner
+
+
+class TestNoToolchain:
+    """An unusable compiler: explicit requests warn and fall back,
+    ``auto`` falls back silently, machines run on the pure engine."""
+
+    @pytest.fixture
+    def no_cc(self, monkeypatch, tmp_path):
+        real = sysconfig.get_config_var
+
+        def config_var(name):
+            if name == "CC":
+                return str(tmp_path / "no-such-cc")
+            return real(name)
+
+        monkeypatch.setattr(sysconfig, "get_config_var", config_var)
+        monkeypatch.setenv("REPRO_ENGINE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(engine_mod, "_core_module", engine_mod._UNSET)
+        monkeypatch.setattr(engine_mod, "_core_error", None)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+
+    def test_compiled_warns_and_falls_back(self, no_cc):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resolve_engine("compiled") == ("pure", None)
+
+    def test_auto_falls_back_silently(self, no_cc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_engine("auto") == ("pure", None)
+
+    def test_machine_runs_pure(self, no_cc):
+        with pytest.warns(RuntimeWarning):
+            machine = Machine(n_cpus=2, engine="compiled")
+        assert machine.charge_engine == "pure"

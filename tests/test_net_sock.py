@@ -7,7 +7,12 @@ from repro.kernel.machine import Machine
 from repro.mem.layout import AddressSpace
 from repro.net.params import NetParams
 from repro.net.skbuff import SKB_HEAD_SIZE, SkBuff
-from repro.net.sock import Sock, TCB_BYTES
+from repro.net.sock import (
+    BUF_RANGE_SIZES,
+    TCB_BYTES,
+    TCB_RANGE_SIZES,
+    Sock,
+)
 
 
 @pytest.fixture
@@ -27,13 +32,21 @@ def make_skb(seq=0, length=0):
 
 class TestMemoryRegions:
     def test_tcb_and_buf_regions_disjoint(self, sock):
-        tcb_addr, tcb_size = sock.tcb_read(TCB_BYTES)
-        buf_addr, buf_size = sock.buf_read(64)
+        tcb_addr, tcb_size = sock.tcb_range(TCB_BYTES)
+        buf_addr, buf_size = sock.buf_range(64)
         assert tcb_addr + tcb_size <= buf_addr
 
     def test_tcb_read_clamped(self, sock):
-        addr, size = sock.tcb_read(10_000)
+        addr, size = sock.tcb_range(10_000)
         assert size == TCB_BYTES
+
+    def test_prebuilt_tables_match_ranges(self, sock):
+        assert sock.tcb == {n: sock.tcb_range(n) for n in TCB_RANGE_SIZES}
+        assert sock.buf == {n: sock.buf_range(n) for n in BUF_RANGE_SIZES}
+        assert max(TCB_RANGE_SIZES) <= TCB_BYTES
+        tcb_end = sock.obj.addr + TCB_BYTES
+        assert all(addr + size <= tcb_end for addr, size in sock.tcb.values())
+        assert all(addr >= tcb_end for addr, _ in sock.buf.values())
 
 
 class TestTransmitState:
