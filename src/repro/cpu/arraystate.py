@@ -1,18 +1,20 @@
-"""Array-backed microarchitectural state for the compiled engine.
+"""Flat-array layouts of the compiled engine's microarchitectural state.
 
 These classes hold exactly the state of their reference counterparts
 (:class:`~repro.cpu.cache.SetAssocCache`,
 :class:`~repro.cpu.cache.TraceCache`, :class:`~repro.cpu.tlb.Tlb`,
 :class:`~repro.cpu.branch.BranchPredictor`) in flat ``array('q')`` /
 ``array('d')`` buffers keyed by ``(set, way)``, instead of per-set
-Python lists and dicts.  Two consumers drive the layout:
-
-* the optional C extension (``repro.cpu._enginecore``) binds the
-  buffers once and runs the whole charge path over raw int64 loads;
-* the pure-Python methods here implement the *same* transitions, so
-  the equivalence suite can prove the representation against the
-  reference classes on random traces, and cold paths (flush, affinity
-  setup, introspection) work without the extension.
+Python lists and dicts.  They are layouts, not engines: the C
+extension (``repro.cpu._enginecore``) binds the buffers once and runs
+every transition over raw int64 loads.  Python keeps only what the
+machine layer needs between charges -- construction, the counter
+views, :meth:`ArrayTlb.flush_below` -- and the read-only views
+(``sets_snapshot``, ``resident_pages``, ``tracked_names``) that
+``tests/test_engine_equivalence.py`` compares against the reference
+classes after every operation of a random pure-vs-compiled script.
+Each transition thus exists twice: once in the reference classes
+(the pure engine and the oracle) and once in C.
 
 Layout invariants the C code relies on:
 
@@ -22,14 +24,11 @@ Layout invariants the C code relies on:
 * branch-predictor state is indexed by the machine-wide function slot
   (see :class:`repro.prof.slotaccounting.SlotRegistry`) with an
   intrusive doubly-linked LRU list in ``_prev`` / ``_next``;
-* counters live in small ``array('q')`` stats buffers so compiled and
-  interpreted mutators see the same cells.
+* counters live in small ``array('q')`` stats buffers, so C's adds and
+  the machine layer's attribute reads see the same cells.
 """
 
 from array import array
-
-from repro.cpu.branch import COLD_RATE, WARMUP_INVOCATIONS
-from repro.mem.layout import PAGE_SIZE, page_span
 
 #: Stats-buffer layout shared with the C extension.
 CACHE_HITS = 0
@@ -45,7 +44,7 @@ BP_COUNT = 2
 
 
 class ArraySetAssocCache:
-    """Flat-array twin of :class:`~repro.cpu.cache.SetAssocCache`."""
+    """Flat-array layout of :class:`~repro.cpu.cache.SetAssocCache`."""
 
     __slots__ = ("geometry", "_tags", "_stats", "_mask", "_ways")
 
@@ -80,113 +79,9 @@ class ArraySetAssocCache:
     def misses(self, value):
         self._stats[CACHE_MISSES] = value
 
-    # -- the SetAssocCache API -----------------------------------------
-
-    def access(self, line):
-        """Look up ``line``; on miss, fill it (evicting LRU)."""
-        tags = self._tags
-        ways = self._ways
-        base = (line & self._mask) * ways
-        if tags[base] == line:
-            self._stats[CACHE_HITS] += 1
-            return True
-        for i in range(1, ways):
-            tag = tags[base + i]
-            if tag == line:
-                while i > 0:
-                    tags[base + i] = tags[base + i - 1]
-                    i -= 1
-                tags[base] = line
-                self._stats[CACHE_HITS] += 1
-                return True
-            if tag == -1:
-                break
-        self._stats[CACHE_MISSES] += 1
-        i = ways - 1
-        while i > 0:
-            tags[base + i] = tags[base + i - 1]
-            i -= 1
-        tags[base] = line
-        return False
-
-    def access_lines(self, lines):
-        """N :meth:`access` calls; returns ``(hits, missed_list)``."""
-        hits = 0
-        missed = []
-        access = self.access
-        for line in lines:
-            if access(line):
-                hits += 1
-            else:
-                missed.append(line)
-        return hits, missed
-
-    def access_range(self, first_line, n_lines):
-        return self.access_lines(range(first_line, first_line + n_lines))
-
-    def miss_count(self, lines):
-        """N :meth:`access` calls, returning only the miss count."""
-        misses = 0
-        access = self.access
-        for line in lines:
-            if not access(line):
-                misses += 1
-        return misses
-
-    def probe(self, line):
-        tags = self._tags
-        base = (line & self._mask) * self._ways
-        for i in range(self._ways):
-            tag = tags[base + i]
-            if tag == line:
-                return True
-            if tag == -1:
-                return False
-        return False
-
-    def fill(self, line):
-        """Insert ``line`` as MRU without counting; no-op if resident."""
-        if self.probe(line):
-            return
-        tags = self._tags
-        base = (line & self._mask) * self._ways
-        i = self._ways - 1
-        while i > 0:
-            tags[base + i] = tags[base + i - 1]
-            i -= 1
-        tags[base] = line
-
-    def invalidate(self, line):
-        """Drop ``line`` if resident (coherence / DMA)."""
-        tags = self._tags
-        ways = self._ways
-        base = (line & self._mask) * ways
-        for i in range(ways):
-            tag = tags[base + i]
-            if tag == line:
-                while i < ways - 1:
-                    tags[base + i] = tags[base + i + 1]
-                    i += 1
-                tags[base + ways - 1] = -1
-                return
-            if tag == -1:
-                return
-
-    def flush(self):
-        tags = self._tags
-        for i in range(len(tags)):
-            tags[i] = -1
-
-    def resident_lines(self):
-        return [tag for tag in self._tags if tag != -1]
-
-    def occupancy(self):
-        filled = len(self.resident_lines())
-        return filled / float(len(self._tags))
-
     def sets_snapshot(self):
         """Per-set tag lists, MRU first -- comparable to the reference
-        class's ``_sets`` (equivalence tests)."""
+        class's ``_sets``."""
         tags = self._tags
         ways = self._ways
         out = []
@@ -201,19 +96,18 @@ class ArraySetAssocCache:
 
 
 class ArrayTraceCache(ArraySetAssocCache):
-    """Array twin of :class:`~repro.cpu.cache.TraceCache`.
+    """Array layout of :class:`~repro.cpu.cache.TraceCache`.
 
     The reference trace cache is behaviourally identical to
-    ``SetAssocCache`` (same replacement, counters and geometry; it only
-    drops the entry points coherence never uses), so the array form is
-    the same class under the fetch-path name.
+    ``SetAssocCache`` (same replacement, counters and geometry), so
+    the array form is the same class under the fetch-path name.
     """
 
     __slots__ = ()
 
 
 class ArrayTlb:
-    """Flat-array twin of :class:`~repro.cpu.tlb.Tlb`."""
+    """Flat-array layout of :class:`~repro.cpu.tlb.Tlb`."""
 
     __slots__ = ("geometry", "_pages", "_stats", "_capacity")
 
@@ -238,50 +132,6 @@ class ArrayTlb:
     @walks.setter
     def walks(self, value):
         self._stats[TLB_WALKS] = value
-
-    def access(self, page):
-        """Translate ``page``; ``True`` on hit, filling on miss."""
-        pages = self._pages
-        if pages[0] == page:
-            self._stats[TLB_HITS] += 1
-            return True
-        cap = self._capacity
-        for i in range(1, cap):
-            entry = pages[i]
-            if entry == page:
-                while i > 0:
-                    pages[i] = pages[i - 1]
-                    i -= 1
-                pages[0] = page
-                self._stats[TLB_HITS] += 1
-                return True
-            if entry == -1:
-                break
-        self._stats[TLB_WALKS] += 1
-        i = cap - 1
-        while i > 0:
-            pages[i] = pages[i - 1]
-            i -= 1
-        pages[0] = page
-        return False
-
-    def access_range(self, addr, size):
-        """Translate every page of ``[addr, addr+size)``; walk count."""
-        if size <= 0:
-            return 0
-        page = addr // PAGE_SIZE
-        if page == (addr + size - 1) // PAGE_SIZE:
-            return 0 if self.access(page) else 1
-        walks = 0
-        for page in page_span(addr, size):
-            if not self.access(page):
-                walks += 1
-        return walks
-
-    def flush(self):
-        pages = self._pages
-        for i in range(len(pages)):
-            pages[i] = -1
 
     def flush_below(self, boundary_page):
         """In-place compaction keeping pages >= ``boundary_page``.
@@ -316,11 +166,12 @@ class ArrayTlb:
 
 
 class ArrayBranchPredictor:
-    """Array twin of :class:`~repro.cpu.branch.BranchPredictor`.
+    """Array layout of :class:`~repro.cpu.branch.BranchPredictor`.
 
     State is indexed by the machine-wide function slot from a
     :class:`~repro.prof.slotaccounting.SlotRegistry` (function names
-    and slots are 1:1 per machine), with the reference class's
+    and slots are 1:1 per machine, so the slot-keyed C predictor
+    matches the name-keyed reference), with the reference class's
     ``OrderedDict`` LRU realised as an intrusive doubly-linked list:
     ``seen[slot] < 0`` means "not tracked", eviction unlinks the LRU
     head, a hit moves the slot to the tail.
@@ -368,87 +219,9 @@ class ArrayBranchPredictor:
     def cold_events(self, value):
         self._stats[BP_COLD_EVENTS] = value
 
-    # -- LRU plumbing --------------------------------------------------
-
-    def _unlink(self, slot):
-        meta = self._meta
-        prev = self._prev[slot]
-        nxt = self._next[slot]
-        if prev >= 0:
-            self._next[prev] = nxt
-        else:
-            meta[BP_HEAD] = nxt
-        if nxt >= 0:
-            self._prev[nxt] = prev
-        else:
-            meta[BP_TAIL] = prev
-
-    def _append(self, slot):
-        meta = self._meta
-        tail = meta[BP_TAIL]
-        self._prev[slot] = tail
-        self._next[slot] = -1
-        if tail >= 0:
-            self._next[tail] = slot
-        else:
-            meta[BP_HEAD] = slot
-        meta[BP_TAIL] = slot
-
-    # -- the BranchPredictor API ---------------------------------------
-
-    def predict(self, fn_name, branches, base_rate):
-        """Account ``branches`` branches of ``fn_name``; mispredicts."""
-        if branches <= 0:
-            return 0
-        slot = self._registry.slot_for_name(fn_name)
-        return self.predict_slot(slot, branches, base_rate)
-
-    def predict_slot(self, slot, branches, base_rate):
-        seen_arr = self._seen
-        meta = self._meta
-        if seen_arr[slot] < 0:
-            seen_arr[slot] = 0
-            self._residual[slot] = 0.0
-            self._append(slot)
-            meta[BP_COUNT] += 1
-            if meta[BP_COUNT] > self._capacity:
-                victim = meta[BP_HEAD]
-                self._unlink(victim)
-                seen_arr[victim] = -1
-                meta[BP_COUNT] -= 1
-            self._stats[BP_COLD_EVENTS] += 1
-        elif meta[BP_TAIL] != slot:
-            self._unlink(slot)
-            self._append(slot)
-        seen = seen_arr[slot]
-        rate = base_rate
-        if seen < WARMUP_INVOCATIONS:
-            rate += COLD_RATE * (WARMUP_INVOCATIONS - seen) / WARMUP_INVOCATIONS
-        seen_arr[slot] = seen + 1
-        expected = self._residual[slot] + branches * rate
-        whole = int(expected)
-        self._residual[slot] = expected - whole
-        if whole > branches:
-            whole = branches
-        self._stats[BP_MISPREDICTS] += whole
-        return whole
-
-    def forget(self, fn_name):
-        slot = self._registry.find_slot(fn_name)
-        if slot is not None and self._seen[slot] >= 0:
-            self._unlink(slot)
-            self._seen[slot] = -1
-            self._meta[BP_COUNT] -= 1
-
-    def warmth(self, fn_name):
-        slot = self._registry.find_slot(fn_name)
-        if slot is None:
-            return 0
-        seen = self._seen[slot]
-        return seen if seen > 0 else 0
-
     def tracked_names(self):
-        """LRU-to-MRU tracked function names (equivalence tests)."""
+        """LRU-to-MRU tracked function names -- comparable to the
+        reference class's ``_entries``."""
         names = self._registry.names
         out = []
         slot = self._meta[BP_HEAD]

@@ -1,23 +1,24 @@
 """The compiled-engine CPU: array state over a C bookkeeping base.
 
-:class:`CompiledCpu` is the flat-array twin of :class:`~repro.cpu.
+:class:`CompiledCpu` is the flat-array form of :class:`~repro.cpu.
 core.Cpu`.  It owns the same component set -- three data-cache levels,
 two TLBs, trace cache, branch predictor -- but in the ``array('q')``
-representations of :mod:`repro.cpu.arraystate`, and its :meth:`charge`
-is one call into ``_enginecore.charge``, which runs the entire hot
-path in C over buffers bound once at machine construction, then
-advances the CPU's clock, busy cycles and oprofile skid sample.
+layouts of :mod:`repro.cpu.arraystate`, and its :meth:`charge` is one
+call into ``_enginecore.charge``, which runs the entire hot path in C
+over buffers bound once at machine construction (coherence
+invalidations included), then advances the CPU's clock, busy cycles
+and oprofile skid sample.
 
 Those per-charge fields (``now``, ``busy_cycles``, ``recent_load``,
 ``last_spec``, ``skid_spec``, ``sibling``) are C struct members of the
 extension's ``CpuCore`` type, so the concrete class is built over it
 once the extension is loaded: :func:`cpu_class`.  Machine-layer code
-reads and writes them as plain attributes.  Everything else the
-machine touches between charges (machine clears, idle advance,
-per-line coherence invalidation) stays in Python: those paths run a
-handful of times per quantum.  The duck-typed surface matches ``Cpu``
-exactly; the equivalence and golden suites run the same workloads
-over both and require identical event streams.
+reads and writes them as plain attributes.  The cold paths the machine
+runs between charges (machine clears, idle advance, utilization) are
+:class:`~repro.cpu.core.CpuBase`'s, shared with the pure engine.  The
+duck-typed surface matches ``Cpu``; the equivalence and golden suites
+run the same workloads over both and require identical state and
+event streams.
 """
 
 import functools
@@ -29,7 +30,8 @@ from repro.cpu.arraystate import (
     ArrayTlb,
     ArrayTraceCache,
 )
-from repro.cpu.events import CYCLES, MACHINE_CLEARS, zero_counts
+from repro.cpu.core import CpuBase
+from repro.cpu.events import zero_counts
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,7 +47,7 @@ def cpu_class(core):
     })
 
 
-class CompiledCpu:
+class CompiledCpu(CpuBase):
     """One processor of the simulated SMP, on the compiled engine.
 
     Instantiate through :func:`cpu_class`; ``core.build_state`` then
@@ -129,53 +131,6 @@ class CompiledCpu:
         :meth:`repro.cpu.core.Cpu.charge`."""
         return self._core.charge(self, spec, instructions, reads, writes,
                                  extra_cycles, branches, mispredicts)
-
-    # ------------------------------------------------------------------
-    # Asynchronous events (cold paths; Python, same as the reference).
-    # ------------------------------------------------------------------
-
-    def machine_clear(self, attr_spec, counted, flush=True):
-        """Apply a pipeline clear caused by an asynchronous interruption."""
-        cycles = self.costs.machine_clear if flush else 0
-        if cycles:
-            self.now += cycles
-            self.busy_cycles += cycles
-        totals = self.totals
-        totals[CYCLES] += cycles
-        totals[MACHINE_CLEARS] += counted
-        self.sink.record(
-            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
-        )
-        return cycles
-
-    def advance_idle(self, cycles):
-        """Let the local clock follow global time while idle-polling."""
-        if cycles > 0:
-            self.now += cycles
-
-    def invalidate_line(self, line):
-        """Coherence invalidation from the directory or DMA (Python
-        fallback path; C-originated invalidations hit the arrays
-        directly)."""
-        self.l1.invalidate(line)
-        self.l2.invalidate(line)
-        self.l3.invalidate(line)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def utilization(self, total_cycles=None):
-        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
-        denom = total_cycles if total_cycles else self.now
-        if denom <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / float(denom))
-
-    def touch_pages_instr(self, pages):
-        """Pre-walk ITLB entries (used when warming code deliberately)."""
-        for page in pages:
-            self.itlb.access(page)
 
     def __repr__(self):
         return "CompiledCpu(%s, now=%d, busy=%d)" % (

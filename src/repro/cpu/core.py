@@ -35,8 +35,50 @@ from repro.mem.layout import CACHE_LINE, PAGE_SIZE
 from repro.mem.system import DirectoryEntry
 
 
-class Cpu:
-    """One processor of the simulated SMP."""
+class CpuBase:
+    """What both engines' CPUs share: the cold paths the machine layer
+    runs between charges.  Slotless, so it mixes into :class:`Cpu` and
+    into the compiled CPU built over the C ``CpuCore`` type alike."""
+
+    __slots__ = ()
+
+    def machine_clear(self, attr_spec, counted, flush=True):
+        """Apply a pipeline clear caused by an asynchronous interruption.
+
+        ``counted`` is what the (noisy) MACHINE_CLEAR PMU event records;
+        the performance charge is one pipeline flush when ``flush`` is
+        true.  Events are attributed to ``attr_spec`` -- the interrupted
+        function for IPIs, the handler for device interrupts -- which is
+        exactly the "skid" attribution the paper works around in its
+        Table 4 analysis.
+        """
+        cycles = self.costs.machine_clear if flush else 0
+        if cycles:
+            self.now += cycles
+            self.busy_cycles += cycles
+        totals = self.totals
+        totals[CYCLES] += cycles
+        totals[MACHINE_CLEARS] += counted
+        self.sink.record(
+            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
+        )
+        return cycles
+
+    def advance_idle(self, cycles):
+        """Let the local clock follow global time while idle-polling."""
+        if cycles > 0:
+            self.now += cycles
+
+    def utilization(self, total_cycles=None):
+        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
+        denom = total_cycles if total_cycles else self.now
+        if denom <= 0:
+            return 0.0
+        return min(1.0, self.busy_cycles / float(denom))
+
+
+class Cpu(CpuBase):
+    """One processor of the simulated SMP (the pure engine)."""
 
     __slots__ = (
         "index",
@@ -692,35 +734,8 @@ class Cpu:
         return llc_misses, l2_hits, l3_hits, cycles, dtlb_walks
 
     # ------------------------------------------------------------------
-    # Asynchronous events.
+    # Coherence.
     # ------------------------------------------------------------------
-
-    def machine_clear(self, attr_spec, counted, flush=True):
-        """Apply a pipeline clear caused by an asynchronous interruption.
-
-        ``counted`` is what the (noisy) MACHINE_CLEAR PMU event records;
-        the performance charge is one pipeline flush when ``flush`` is
-        true.  Events are attributed to ``attr_spec`` -- the interrupted
-        function for IPIs, the handler for device interrupts -- which is
-        exactly the "skid" attribution the paper works around in its
-        Table 4 analysis.
-        """
-        cycles = self.costs.machine_clear if flush else 0
-        if cycles:
-            self.now += cycles
-            self.busy_cycles += cycles
-        totals = self.totals
-        totals[CYCLES] += cycles
-        totals[MACHINE_CLEARS] += counted
-        self.sink.record(
-            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
-        )
-        return cycles
-
-    def advance_idle(self, cycles):
-        """Let the local clock follow global time while idle-polling."""
-        if cycles > 0:
-            self.now += cycles
 
     def invalidate_line(self, line):
         """Coherence invalidation from the directory or DMA.
@@ -742,22 +757,6 @@ class Cpu:
         bucket = sets3[line & mask3]
         if line in bucket:
             bucket.remove(line)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def utilization(self, total_cycles=None):
-        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
-        denom = total_cycles if total_cycles else self.now
-        if denom <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / float(denom))
-
-    def touch_pages_instr(self, pages):
-        """Pre-walk ITLB entries (used when warming code deliberately)."""
-        for page in pages:
-            self.itlb.access(page)
 
     def __repr__(self):
         return "Cpu(%s, now=%d, busy=%d)" % (self.name, self.now, self.busy_cycles)

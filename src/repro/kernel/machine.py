@@ -18,6 +18,8 @@ flow through here:
   wait charged to lock-bin code at Table 2's branch arithmetic.
 """
 
+import functools
+
 from repro.cpu.compiled import cpu_class
 from repro.cpu.core import Cpu
 from repro.cpu.events import LLC_MISSES, SKID_PERIOD
@@ -163,23 +165,30 @@ class Machine:
         self.costs = costs or CostModel()
         cpu_params = cpu_params or CpuParams()
         self.cpus = []
-        if self.charge_engine == "compiled":
+        if core is not None:
             self.registry = SlotRegistry()
             self.memsys = CompiledMemorySystem()
             self.accounting = ArrayAccounting(n_cpus, self.registry)
-            compiled_cpu = cpu_class(core)
-            for i in range(n_cpus):
-                share_with = None
-                domain = i
-                if hyperthreading:
-                    domain = i // 2
-                    if i % 2 == 1:
-                        share_with = self.cpus[i - 1]
-                self.cpus.append(
-                    compiled_cpu(i, cpu_params, self.costs, self.memsys,
-                                 self.accounting, self.registry,
-                                 share_with=share_with, domain=domain)
-                )
+            make_cpu = functools.partial(cpu_class(core),
+                                         registry=self.registry)
+        else:
+            self.registry = None
+            self.memsys = MemorySystem()
+            self.accounting = ExactAccounting()
+            make_cpu = Cpu
+        for i in range(n_cpus):
+            share_with = None
+            domain = i
+            if hyperthreading:
+                domain = i // 2
+                if i % 2 == 1:
+                    share_with = self.cpus[i - 1]
+            self.cpus.append(
+                make_cpu(i, cpu_params, self.costs, self.memsys,
+                         self.accounting, share_with=share_with,
+                         domain=domain)
+            )
+        if core is not None:
             # Binds every CPU to the new state as well.
             state = core.build_state({
                 "registry": self.registry,
@@ -190,21 +199,6 @@ class Machine:
                 "skid_period": SKID_PERIOD,
             })
             self.memsys.bind_state(core, state)
-        else:
-            self.registry = None
-            self.memsys = MemorySystem()
-            self.accounting = ExactAccounting()
-            for i in range(n_cpus):
-                share_with = None
-                domain = i
-                if hyperthreading:
-                    domain = i // 2
-                    if i % 2 == 1:
-                        share_with = self.cpus[i - 1]
-                self.cpus.append(
-                    Cpu(i, cpu_params, self.costs, self.memsys,
-                        self.accounting, share_with=share_with, domain=domain)
-                )
         self.scheduler = Scheduler(n_cpus, sched_params or SchedulerParams())
         self.ioapic = IoApic(n_cpus)
         self.softirqs = SoftirqTable()

@@ -3,17 +3,20 @@
 Drop-in replacement for :class:`~repro.mem.system.MemorySystem` whose
 coherence state lives in a :class:`~repro.mem.directory.LineDirectory`
 and whose counters live in one ``array('q')`` stats buffer, so the C
-charge path can update both without boxing.  The Python methods here
-implement the identical protocol transitions (the equivalence suite
-drives both classes through random coherence traces); once the engine
-state is bound, the DMA entry points -- the only coherence operations
-invoked from outside the charge path -- dispatch to C.
+charge path can update both without boxing.  Over this layout the
+protocol transitions run only in C (the reference ``MemorySystem`` is
+their Python oracle): the charge path inlines them, and the DMA entry
+points -- the only coherence operations invoked from outside the
+charge path -- call the core bound by :meth:`CompiledMemorySystem.
+bind_state`, which every compiled ``Machine`` does at construction.
+CPU registration and the bus model come from the shared
+:class:`~repro.mem.system.Interconnect`.
 """
 
 from array import array
 
 from repro.mem.directory import LineDirectory
-from repro.mem.layout import line_span
+from repro.mem.system import Interconnect
 
 #: ``_stats`` layout (bound by the compiled engine).
 MS_INVALIDATIONS = 0
@@ -23,18 +26,15 @@ MS_DMA_LINES_WRITTEN = 3
 MS_BUS_DELAY = 4
 
 
-class CompiledMemorySystem:
-    """Array-backed twin of :class:`~repro.mem.system.MemorySystem`."""
+class CompiledMemorySystem(Interconnect):
+    """Array-backed form of :class:`~repro.mem.system.MemorySystem`."""
 
     def __init__(self, dma_read_invalidates=True):
-        self.dma_read_invalidates = dma_read_invalidates
-        self.directory = LineDirectory()
-        self._cpus = []
-        self._domain_reps = {}
+        # Before the base's counter writes: they land in this buffer.
         self._stats = array("q", [0, 0, 0, 0, 0])
-        self.bus_utilization = 0.0
-        #: Bound by ``Machine`` once the C engine state exists; DMA then
-        #: runs compiled.
+        super().__init__(dma_read_invalidates)
+        self.directory = LineDirectory()
+        #: Bound by ``Machine`` once the C engine state exists.
         self._state = None
         self._core = None
 
@@ -84,119 +84,13 @@ class CompiledMemorySystem:
     def bus_delay(self, value):
         self._stats[MS_BUS_DELAY] = value
 
-    # -- identical plumbing to the reference ---------------------------
-
-    def update_bus(self, miss_slots_cycles, window_cycles, costs):
-        if window_cycles <= 0:
-            return
-        instant = min(0.95, miss_slots_cycles / float(window_cycles))
-        self.bus_utilization = 0.7 * self.bus_utilization + 0.3 * instant
-        u = self.bus_utilization
-        delay = int(costs.bus_slot_cycles * u / (1.0 - u))
-        self._stats[MS_BUS_DELAY] = min(delay, costs.bus_max_delay)
-
-    def attach_cpu(self, cpu):
-        if cpu in self._cpus:
-            raise ValueError("CPU %r attached twice" % cpu)
-        self._cpus.append(cpu)
-        domain = getattr(cpu, "domain", cpu.index)
-        self._domain_reps.setdefault(domain, cpu)
-
-    @property
-    def cpus(self):
-        return list(self._cpus)
-
-    # -- coherence operations (Python form; C inlines the same) --------
-
-    def note_fill(self, line, domain):
-        directory = self.directory
-        idx = directory.find(line)
-        if idx < 0:
-            directory.insert(line, 1 << domain, -1)
-        else:
-            directory._sharers[idx] |= 1 << domain
-
-    def read_miss(self, line, domain):
-        directory = self.directory
-        idx = directory.find(line)
-        c2c = False
-        if idx < 0:
-            directory.insert(line, 1 << domain, -1)
-        else:
-            owner = directory._owner[idx]
-            if owner >= 0 and owner != domain:
-                c2c = True
-                self._stats[MS_C2C] += 1
-                directory._owner[idx] = -1
-            directory._sharers[idx] |= 1 << domain
-        return c2c
-
-    def make_exclusive(self, line, domain):
-        mybit = 1 << domain
-        directory = self.directory
-        idx = directory.find(line)
-        if idx < 0:
-            directory.insert(line, mybit, domain)
-            return 0
-        others = directory._sharers[idx] & ~mybit
-        invalidated = 0
-        if others:
-            for dom, rep in self._domain_reps.items():
-                if others & (1 << dom):
-                    rep.invalidate_line(line)
-                    invalidated += 1
-            self._stats[MS_INVALIDATIONS] += invalidated
-        directory._sharers[idx] = mybit
-        directory._owner[idx] = domain
-        return invalidated
-
-    # -- DMA -----------------------------------------------------------
+    # -- DMA (the C core; bound before the machine's first DMA) --------
 
     def dma_write(self, addr, size):
-        if self._core is not None:
-            self._core.dma_write(self._state, addr, size)
-            return
-        directory = self.directory
-        reps = self._domain_reps.items()
-        invalidations = 0
-        n = 0
-        for line in line_span(addr, size):
-            n += 1
-            idx = directory.find(line)
-            if idx >= 0 and directory._sharers[idx]:
-                sharers = directory._sharers[idx]
-                for dom, rep in reps:
-                    if sharers & (1 << dom):
-                        rep.invalidate_line(line)
-                        invalidations += 1
-                directory._sharers[idx] = 0
-                directory._owner[idx] = -1
-        self._stats[MS_INVALIDATIONS] += invalidations
-        self._stats[MS_DMA_LINES_WRITTEN] += n
+        self._core.dma_write(self._state, addr, size)
 
     def dma_read(self, addr, size):
-        if self._core is not None:
-            self._core.dma_read(self._state, addr, size)
-            return
-        directory = self.directory
-        reps = self._domain_reps.items()
-        invalidate = self.dma_read_invalidates
-        invalidations = 0
-        n = 0
-        for line in line_span(addr, size):
-            n += 1
-            idx = directory.find(line)
-            if idx >= 0:
-                sharers = directory._sharers[idx]
-                if invalidate and sharers:
-                    for dom, rep in reps:
-                        if sharers & (1 << dom):
-                            rep.invalidate_line(line)
-                            invalidations += 1
-                    directory._sharers[idx] = 0
-                directory._owner[idx] = -1
-        self._stats[MS_INVALIDATIONS] += invalidations
-        self._stats[MS_DMA_LINES_READ] += n
+        self._core.dma_read(self._state, addr, size)
 
     # -- introspection -------------------------------------------------
 

@@ -49,8 +49,14 @@ class DirectoryEntry(list):
         )
 
 
-class MemorySystem:
-    """The shared interconnect: directory state plus DMA entry points."""
+class Interconnect:
+    """What both engines' memory systems share: the attached CPUs and
+    the front-side-bus model.
+
+    Counters are plain attribute writes here; the compiled memory
+    system backs the same names with properties over the stats buffer
+    its C core reads, so these writes reach that buffer.
+    """
 
     def __init__(self, dma_read_invalidates=True):
         #: On the paper's front-side-bus chipsets, device reads snoop
@@ -59,7 +65,6 @@ class MemorySystem:
         #: MPI high (~0.01) *regardless of affinity* in the paper's
         #: Table 1 ("affinity did not seem to affect copies").
         self.dma_read_invalidates = dma_read_invalidates
-        self.directory = {}
         self._cpus = []
         #: One representative CPU per coherence domain.  HT siblings
         #: share a cache hierarchy, so invalidating through any one of
@@ -103,6 +108,15 @@ class MemorySystem:
     @property
     def cpus(self):
         return list(self._cpus)
+
+
+class MemorySystem(Interconnect):
+    """The reference memory system: a dict directory plus the coherence
+    and DMA transitions the pure engine runs."""
+
+    def __init__(self, dma_read_invalidates=True):
+        super().__init__(dma_read_invalidates)
+        self.directory = {}
 
     # ------------------------------------------------------------------
     # Coherence operations used by the CPU access path.

@@ -41,7 +41,7 @@ class SlotRegistry:
 
     def __init__(self, capacity=256):
         self.capacity = capacity
-        self.specs = []   # slot -> FunctionSpec (or None for bare names)
+        self.specs = []   # slot -> first FunctionSpec seen by that name
         self.names = []   # slot -> function name
         self._spec_to_slot = {}
         self._name_to_slot = {}
@@ -52,7 +52,7 @@ class SlotRegistry:
         """Register ``callback(new_capacity)`` to run on every growth."""
         self._growers.append(callback)
 
-    def _assign(self, name, spec):
+    def _assign(self, spec):
         slot = len(self.names)
         if slot >= self.capacity:
             new_capacity = self.capacity * 2
@@ -60,11 +60,10 @@ class SlotRegistry:
                 grower(new_capacity)
             self.capacity = new_capacity
             self._meta[REG_GENERATION] += 1
-        self.names.append(name)
+        self.names.append(spec.name)
         self.specs.append(spec)
-        self._name_to_slot[name] = slot
-        if spec is not None:
-            self._spec_to_slot[spec] = slot
+        self._name_to_slot[spec.name] = slot
+        self._spec_to_slot[spec] = slot
         return slot
 
     def slot_for(self, spec):
@@ -74,24 +73,12 @@ class SlotRegistry:
             return slot
         slot = self._name_to_slot.get(spec.name)
         if slot is not None:
-            # Name first seen bare (e.g. via the branch predictor):
-            # bind the spec to the existing slot.
+            # A second spec under a known name shares its slot: the
+            # reference branch predictor is keyed by name, so the
+            # slot-indexed C predictor must be too.
             self._spec_to_slot[spec] = slot
-            if self.specs[slot] is None:
-                self.specs[slot] = spec
             return slot
-        return self._assign(spec.name, spec)
-
-    def slot_for_name(self, name):
-        """Slot of ``name``, assigning one on first sight."""
-        slot = self._name_to_slot.get(name)
-        if slot is not None:
-            return slot
-        return self._assign(name, None)
-
-    def find_slot(self, name):
-        """Slot of ``name`` or ``None`` (no assignment)."""
-        return self._name_to_slot.get(name)
+        return self._assign(spec)
 
     def __len__(self):
         return len(self.names)

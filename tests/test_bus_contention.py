@@ -74,16 +74,16 @@ class TestBusInMachine:
     def test_bus_delay_charged_to_misses(self):
         machine = Machine(n_cpus=2, seed=31)
         fn = machine.functions.register("t", "engine", branch_frac=0.0)
-        buf = machine.space.alloc("b", CACHE_LINE)
+        buf = machine.space.alloc_page_aligned("b", 2 * CACHE_LINE)
+        first, second = buf.addr, buf.addr + CACHE_LINE
         machine.cpus[0].charge(fn, 3)  # warm code/TLB paths first
         machine.memsys.bus_delay = 100
-        cold = machine.cpus[0].charge(fn, 3, reads=[(buf.addr, CACHE_LINE)])
+        cold = machine.cpus[0].charge(fn, 3, reads=[(first, CACHE_LINE)])
         machine.memsys.bus_delay = 0
-        machine.cpus[0].invalidate_line(buf.addr // CACHE_LINE)
-        machine.memsys.directory.clear()
         cold_no_bus = machine.cpus[0].charge(
-            fn, 3, reads=[(buf.addr, CACHE_LINE)]
+            fn, 3, reads=[(second, CACHE_LINE)]
         )
-        # Identical cold accesses except the DTLB (warm the second
-        # time) and the injected bus delay.
+        # Two never-touched lines on one page: identical cold reads
+        # except the DTLB (warm the second time) and the injected bus
+        # delay.
         assert cold - cold_no_bus == 100 + machine.costs.dtlb_walk

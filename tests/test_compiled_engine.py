@@ -1,11 +1,14 @@
 """Machine-level equivalence of the pure and compiled charging engines.
 
-The component-level equivalence suite (test_engine_equivalence) proves
-every array-state class matches its reference twin transition by
-transition.  This suite closes the loop end to end: whole experiments
-run under ``engine="pure"`` and ``engine="compiled"`` must produce
+The differential suite (test_engine_equivalence) drives a pure and a
+compiled ``Machine`` through random scripts and compares every cache,
+TLB, predictor, directory and accounting state after each operation.
+This suite closes the loop end to end: whole experiments run under
+``engine="pure"`` and ``engine="compiled"`` must produce
 byte-identical result payloads -- throughput, per-bin profiles,
-coherence counters, everything the paper's tables are built from.
+coherence counters, everything the paper's tables are built from --
+and it pins the compiled machine's surface: engine selection, charge
+bookkeeping, the C directory rehash and the no-toolchain fallback.
 
 Skips cleanly when the compiled engine cannot be built (no toolchain):
 the pure engine is the reference and needs no C compiler.

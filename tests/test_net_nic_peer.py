@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.events import LLC_MISSES
 from repro.kernel.machine import Machine
 from repro.net.nic import Nic
 from repro.net.packet import ack_packet, data_packet
@@ -67,13 +68,19 @@ class TestNicReceive:
         skb = rig.nic.rx_posted[0]
         cpu = rig.machine.cpus[0]
         spec = rig.machine.functions.register("toucher", "engine")
+        first_line = [(skb.data.addr, 64)]
         cpu.charge(spec, 10, reads=[(skb.data.addr, 256)])
         line = skb.data.addr // 64
-        assert cpu.l1.probe(line) or cpu.l2.probe(line) or cpu.l3.probe(line)
+        memsys = rig.machine.memsys
+        assert memsys.sharers_of(line) == 1 << cpu.domain
+        misses = cpu.totals[LLC_MISSES]
+        cpu.charge(spec, 10, reads=first_line)
+        assert cpu.totals[LLC_MISSES] == misses  # cached
         rig.nic.deliver_frame(data_packet(0, 0, 1460))
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) + 10)
-        assert not cpu.l1.probe(line)
-        assert not cpu.l3.probe(line)
+        assert memsys.sharers_of(line) == 0
+        cpu.charge(spec, 10, reads=first_line)
+        assert cpu.totals[LLC_MISSES] == misses + 1  # invalidated
 
     def test_drops_when_ring_empty(self, rig):
         rig.nic.rx_posted = []
