@@ -290,10 +290,7 @@ class ExperimentResult:
                 hold_cycles=lock.total_hold_cycles,
             )
         for nic in stack.nics:
-            nic_locks = [nic.tx_lock]
-            if nic.rxqs is not None:
-                nic_locks = [rxq.tx_lock for rxq in nic.rxqs]
-            for lock in nic_locks:
+            for lock in [rxq.tx_lock for rxq in nic.rxqs]:
                 locks[lock.name] = dict(
                     acquisitions=lock.acquisitions,
                     contended=lock.contended_acquisitions,

@@ -17,15 +17,17 @@ to the paper:
   queue behind each other.  The CPU, not the wire, is the bottleneck
   in every experiment, as in the paper.
 
-Built with ``n_queues > 1`` the port becomes a multi-queue device of
-the RSS/Flow Director generation: N hardware receive queues, each
-with its own MSI-X-style vector and its own coalescing state, fed by
-a :class:`~repro.net.rss.NicSteering` classifier.  Because each queue
+Receive, coalescing and interrupt state live on :class:`RxQueue`, of
+which every port has at least one.  The paper's single-vector device
+is the one-queue case: queue 0 shares the device's receive ring,
+vector and TX lock, so it allocates nothing of its own.  Built with
+``n_queues > 1`` the port becomes a multi-queue device of the
+RSS/Flow Director generation: N hardware receive queues, each with its
+own MSI-X-style vector, ring and TX lock, fed by a
+:class:`~repro.net.rss.NicSteering` classifier.  Because each queue
 latches, coalesces and fires independently, two frames of one flow
 split across queues by a Flow Director retarget can be claimed out of
-order -- the reordering race this extension exists to measure.  The
-single-queue construction is byte-for-byte the legacy device: no
-extra allocations, no extra events, identical results.
+order -- the reordering race this extension exists to measure.
 """
 
 from repro.mem.layout import lines_for
@@ -69,9 +71,9 @@ class GroEngine:
     fragments of a real merged skb.
     """
 
-    def __init__(self, owner, nic):
-        self.owner = owner  # Nic (single-queue) or RxQueue
-        self.nic = nic
+    def __init__(self, rxq):
+        self.owner = rxq  # the RxQueue this engine feeds
+        self.nic = rxq.nic
         #: conn_id -> [held packet, held skb, aging-timer event]
         self.contexts = {}
 
@@ -154,22 +156,22 @@ class GroEngine:
 
 
 class RxQueue:
-    """One hardware receive queue: ring, completions, MSI-X vector.
+    """One hardware receive queue: ring, completions, interrupt vector.
 
-    Owns the same latch-coalesce-fire state machine the single-queue
-    device runs, but per queue: frames steered here wait on *this*
-    queue's frame/time thresholds and interrupt through *this* queue's
-    vector.  Transmit completions are also signalled on the queue
-    serving the flow, as MSI-X NICs pair TX completion vectors with
-    their RX counterparts.
+    Owns the latch-coalesce-fire state machine: frames steered here
+    wait on *this* queue's frame/time thresholds and interrupt through
+    *this* queue's vector.  Transmit completions are also signalled on
+    the queue serving the flow, as MSI-X NICs pair TX completion
+    vectors with their RX counterparts.  Queue 0 uses the device's
+    receive ring; on a one-queue device it also takes the device's TX
+    lock (the paper's single-vector NIC has one TX ring), so it
+    allocates nothing.
     """
 
     def __init__(self, nic, qid, vector):
         self.nic = nic
         self.qid = qid
         self.vector = vector
-        # Queue 0 owns the device's legacy ring allocation; extra
-        # queues allocate their own descriptor rings.
         if qid == 0:
             self.ring = nic.rx_ring
         else:
@@ -177,21 +179,23 @@ class RxQueue:
                 "%s:rxq%d_ring" % (nic.name, qid),
                 RING_ENTRIES * RX_DESC_BYTES,
             )
-        # Paired TX queue lock: multi-queue NICs give each vector its
-        # own TX ring, so transmitters on different queues never
-        # contend (one shared lock across 16 CPUs melts down the
-        # moment a holder is preempted).
-        self.tx_lock = nic.machine.new_lock(
-            "tx_lock:%s:q%d" % (nic.name, qid)
-        )
-        self._rx_head = 0
-        self.rx_posted = []
-        self.rx_pending = []
-        self.tx_done = []
+        if nic.n_queues == 1:
+            self.tx_lock = nic.tx_lock
+        else:
+            # Paired TX queue lock: multi-queue NICs give each vector
+            # its own TX ring, so transmitters on different queues never
+            # contend (one shared lock across 16 CPUs melts down the
+            # moment a holder is preempted).
+            self.tx_lock = nic.machine.new_lock(
+                "tx_lock:%s:q%d" % (nic.name, qid)
+            )
+        self.rx_posted = []   # skbs posted for receive DMA
+        self.rx_pending = []  # received skbs awaiting interrupt claim
+        self.tx_done = []     # completed skbs awaiting interrupt claim
         self._irq_latched = False
         self._coalesce_timer = None
         # Receive aggregation (None unless GRO/TOE is on).
-        self.gro = GroEngine(self, nic) if nic.params.rx_gro else None
+        self.gro = GroEngine(self) if nic.params.rx_gro else None
         # Adaptive ITR state: frames-per-interrupt EWMA, fixed point x8.
         self._itr_ewma8 = 0
         # Wu et al. reorder absorption: a Flow Director retarget sets
@@ -202,19 +206,15 @@ class RxQueue:
         self.frames_steered = 0
         self.irqs_fired = 0
 
-    def next_rx_desc(self):
-        idx = self._rx_head % RING_ENTRIES
-        self._rx_head += 1
-        return self.ring.field(idx * RX_DESC_BYTES, RX_DESC_BYTES)
-
     def post_rx(self, skb):
         """Driver posts a buffer for receive DMA on this queue."""
         self.rx_posted.append(skb)
 
     def rx_posted_deficit(self):
+        """Buffers to replenish to keep this queue's ring full."""
         return self.nic.params.rx_ring_size - len(self.rx_posted)
 
-    # -- latch / coalesce / fire (per queue) ---------------------------
+    # -- latch / coalesce / fire -----------------------------------------
 
     def _signal(self):
         nic = self.nic
@@ -279,9 +279,8 @@ class RxQueue:
         self._irq_latched = False
         tx_done, self.tx_done = self.tx_done, []
         rx_pending, self.rx_pending = self.rx_pending, []
-        if self.rx_pending or self.tx_done or (
-            self.gro is not None and self.gro.contexts
-        ):
+        if self.gro is not None and self.gro.contexts:
+            # Frames still held for merging re-arm the coalescer.
             self._signal()
         return tx_done, rx_pending
 
@@ -312,11 +311,12 @@ def itr_delay_cycles(params, ewma8):
 
 
 class Nic:
-    """One port: two rings, one IRQ line, a full-duplex wire.
+    """One port: a TX ring, ``n_queues`` receive queues, a full-duplex wire.
 
-    ``n_queues > 1`` (with a matching ``queue_vectors`` tuple) builds
-    the multi-queue variant described in the module docstring; the
-    default is the paper's single-vector device.
+    The default is the paper's single-vector device (one
+    :class:`RxQueue` on ``vector``); ``n_queues > 1`` with a matching
+    ``queue_vectors`` tuple builds the multi-queue variant described in
+    the module docstring.
     """
 
     def __init__(self, machine, index, vector, params, n_queues=1,
@@ -337,20 +337,10 @@ class Nic:
         #: Remote endpoint; set by the stack.
         self.peer = None
 
-        # Transmit side.
+        # Wire state.
         self._tx_wire_free_at = 0
         self._tx_head = 0  # descriptor index for address realism
-        self.tx_done = []  # completed skbs awaiting interrupt claim
-        # Receive side.
         self._rx_wire_free_at = 0
-        self._rx_head = 0
-        self.rx_posted = []   # skbs posted for receive DMA
-        self.rx_pending = []  # received skbs awaiting interrupt claim
-
-        self._irq_latched = False
-        self._coalesce_timer = None
-        self._itr_ewma8 = 0
-        self.hold_until = 0
 
         # Modeled NIC offload engine: a datapath processor alongside
         # the MAC that burns its *own* cycles (LSO segmentation, GRO
@@ -371,19 +361,14 @@ class Nic:
         self.gro_flushes_fire = 0
         self.toe_acks = 0
         self.itr_holds = 0
-        # Single-queue receive aggregation (multi-queue devices carry
-        # one GroEngine per RxQueue instead).
-        self.gro = (
-            GroEngine(self, self) if params.rx_gro and n_queues == 1
-            else None
-        )
 
-        # Multi-queue receive (None on the legacy single-queue device;
-        # every per-frame path branches on this exactly once).
+        # Receive queues, and the classifier choosing among them (None
+        # on a one-queue device: every frame lands on queue 0).
         self.n_queues = n_queues
-        self.rxqs = None
         self.steering = None
-        if n_queues > 1:
+        if n_queues == 1:
+            self.rxqs = [RxQueue(self, 0, vector)]
+        else:
             if queue_vectors is None or len(queue_vectors) != n_queues:
                 raise ValueError(
                     "n_queues=%d needs %d queue_vectors" % (n_queues, n_queues)
@@ -398,12 +383,8 @@ class Nic:
             self.steering = NicSteering(self, n_queues)
             self.vector = self.queue_vectors[0]
 
-        #: Legacy fault knob: when set to N > 0, every Nth transmitted
-        #: frame is lost on the way to the peer (the SUT still sees a
-        #: normal TX completion).  Subsumed by ``faults`` (a
-        #: :class:`~repro.faults.plan.FaultInjector`), which adds
-        #: seeded drop/reorder/duplicate/IRQ-delay at the same point.
-        self.drop_every_n = 0
+        #: Set by :meth:`repro.faults.plan.FaultInjector.attach`: seeded
+        #: drop/reorder/duplicate/IRQ-delay at the wire boundary.
         self.faults = None
 
         # Statistics.
@@ -417,7 +398,7 @@ class Nic:
         self.irqs_delayed = 0
 
     # ------------------------------------------------------------------
-    # Descriptor address helpers (for driver-side cache touches).
+    # Descriptor and queue selection.
     # ------------------------------------------------------------------
 
     def next_tx_desc(self):
@@ -425,22 +406,25 @@ class Nic:
         self._tx_head += 1
         return self.tx_ring.field(idx * TX_DESC_BYTES, TX_DESC_BYTES)
 
-    def next_rx_desc(self):
-        idx = self._rx_head % RING_ENTRIES
-        self._rx_head += 1
-        return self.rx_ring.field(idx * RX_DESC_BYTES, RX_DESC_BYTES)
+    def rxq_for(self, conn_id):
+        """The receive queue serving ``conn_id`` right now."""
+        steering = self.steering
+        if steering is None:
+            return self.rxqs[0]
+        return self.rxqs[steering.queue_for(conn_id)]
 
     def tx_lock_for(self, conn_id):
         """The transmit lock guarding ``conn_id``'s TX queue.
 
-        Single-queue devices have one TX ring and one lock; multi-queue
+        A one-queue device has one TX ring and one lock; multi-queue
         devices select the TX queue by the same flow hash as receive
         (the MSI-X pairing), so each queue's transmitters serialize
         only among themselves.
         """
-        if self.rxqs is None:
+        steering = self.steering
+        if steering is None:
             return self.tx_lock
-        return self.rxqs[self.steering.rss_queue_for(conn_id)].tx_lock
+        return self.rxqs[steering.rss_queue_for(conn_id)].tx_lock
 
     # ------------------------------------------------------------------
     # Transmit path (driver hands a frame to the hardware).
@@ -469,24 +453,13 @@ class Nic:
         self._tx_deliver(packet)
 
     def _tx_completion(self, skb, packet):
-        if self.rxqs is None:
-            self.tx_done.append(skb)
-            self._signal()
-        else:
-            # MSI-X pairing: the completion interrupts on the queue
-            # currently serving the flow.
-            rxq = self.rxqs[self.steering.queue_for(packet.conn_id)]
-            rxq.tx_done.append(skb)
-            rxq._signal()
+        # MSI-X pairing: the completion interrupts on the queue
+        # currently serving the flow.
+        rxq = self.rxq_for(packet.conn_id)
+        rxq.tx_done.append(skb)
+        rxq._signal()
 
     def _tx_deliver(self, packet):
-        if (
-            self.drop_every_n
-            and packet.len > 0
-            and self.frames_out % self.drop_every_n == 0
-        ):
-            self.tx_drops += 1
-            return  # lost on the wire; the peer never sees it
         if self.peer is None:
             return
         if self.faults is not None and packet.ctl is None:
@@ -507,14 +480,6 @@ class Nic:
     # Receive path (frames arrive from the peer).
     # ------------------------------------------------------------------
 
-    def post_rx(self, skb):
-        """Driver posts a buffer for receive DMA."""
-        self.rx_posted.append(skb)
-
-    def rx_posted_deficit(self):
-        """Buffers to replenish to keep the ring full."""
-        return self.params.rx_ring_size - len(self.rx_posted)
-
     def deliver_frame(self, packet):
         """Peer-side entry: serialize on our receive wire, then DMA."""
         if self.faults is not None and packet.ctl is None:
@@ -531,13 +496,12 @@ class Nic:
         )
 
     def _rx_dma(self, packet):
-        if self.rxqs is not None:
-            self._rx_dma_mq(packet)
-            return
-        if not self.rx_posted:
+        """Classify the frame to a queue, then DMA into its next buffer."""
+        rxq = self.rxq_for(packet.conn_id)
+        if not rxq.rx_posted:
             self.rx_drops += 1
             return
-        skb = self.rx_posted.pop(0)
+        skb = rxq.rx_posted.pop(0)
         skb.seq = packet.seq
         skb.end_seq = packet.end_seq
         skb.len = packet.len
@@ -552,40 +516,9 @@ class Nic:
         self.machine.memsys.dma_write(addr, size)
         self.frames_in += 1
         self.bytes_in += packet.len
-        if (
-            self.gro is not None
-            and packet.len > 0
-            and not packet.is_ack
-            and packet.ctl is None
-        ):
-            self.gro.receive(packet, skb)
-        else:
-            self.rx_pending.append((packet, skb))
-            self._signal()
-
-    def _rx_dma_mq(self, packet):
-        """Multi-queue receive: classify, then DMA into that queue."""
-        rxq = self.rxqs[self.steering.queue_for(packet.conn_id)]
-        if not rxq.rx_posted:
-            self.rx_drops += 1
-            return
-        skb = rxq.rx_posted.pop(0)
-        skb.seq = packet.seq
-        skb.end_seq = packet.end_seq
-        skb.len = packet.len
-        skb.consumed = 0
-        skb.is_ack = packet.is_ack
-        skb.sent_at = self.engine.now
-        skb.pkt = packet
-        addr, size = skb.data.field(
-            0, skb.HEADER_BYTES + max(packet.len, HEADER_WIRE_BYTES)
-        )
-        self.machine.memsys.dma_write(addr, size)
-        self.frames_in += 1
-        self.bytes_in += packet.len
         rxq.frames_steered += 1
         tracer = self.machine.tracer
-        if tracer is not None:
+        if tracer is not None and self.steering is not None:
             tracer.emit("rx_steer", conn=packet.conn_id, queue=rxq.qid)
         if (
             rxq.gro is not None
@@ -597,74 +530,6 @@ class Nic:
         else:
             rxq.rx_pending.append((packet, skb))
             rxq._signal()
-
-    # ------------------------------------------------------------------
-    # Interrupt coalescing.
-    # ------------------------------------------------------------------
-
-    def _signal(self):
-        if self._irq_latched:
-            return
-        pending = len(self.rx_pending) + len(self.tx_done)
-        if self.gro is not None:
-            pending += self.gro.held
-        if pending >= self.params.coalesce_frames:
-            self._fire()
-        elif self._coalesce_timer is None:
-            self._coalesce_timer = self.engine.schedule_after(
-                itr_delay_cycles(self.params, self._itr_ewma8),
-                self._coalesce_timeout,
-                label="%s itr" % self.name,
-            )
-
-    def _coalesce_timeout(self):
-        self._coalesce_timer = None
-        if not self._irq_latched and (
-            self.rx_pending or self.tx_done
-            or (self.gro is not None and self.gro.contexts)
-        ):
-            self._fire()
-
-    def _fire(self):
-        if self.hold_until > self.engine.now:
-            if self._coalesce_timer is None:
-                self._coalesce_timer = self.engine.schedule_at(
-                    self.hold_until, self._coalesce_timeout,
-                    label="%s itr-hold" % self.name,
-                )
-            return
-        self._irq_latched = True
-        if self._coalesce_timer is not None:
-            self._coalesce_timer.cancel()
-            self._coalesce_timer = None
-        if self.gro is not None and self.gro.contexts:
-            self.gro.flush_all_for_fire()
-        if self.params.itr_adaptive:
-            claimed = len(self.rx_pending) + len(self.tx_done)
-            self._itr_ewma8 = (3 * self._itr_ewma8 + 8 * claimed) // 4
-        self.irqs_fired += 1
-        if self.faults is not None:
-            delay = self.faults.irq_delay_cycles(self)
-            if delay > 0:
-                self.irqs_delayed += 1
-                self.engine.schedule_after(
-                    delay,
-                    lambda: self.machine.raise_irq(self.vector),
-                    label="%s irq-delay" % self.name,
-                )
-                return
-        self.machine.raise_irq(self.vector)
-
-    def claim(self):
-        """Top half reads ICR: returns and clears pending completions."""
-        self._irq_latched = False
-        tx_done, self.tx_done = self.tx_done, []
-        rx_pending, self.rx_pending = self.rx_pending, []
-        if self.rx_pending or self.tx_done or (
-            self.gro is not None and self.gro.contexts
-        ):
-            self._signal()
-        return tx_done, rx_pending
 
     # ------------------------------------------------------------------
     # Offload engine (LSO segmentation, GRO merge, TOE ACK processing).
@@ -788,7 +653,7 @@ class Nic:
         self.gro_flushes_fire = 0
         self.toe_acks = 0
         self.itr_holds = 0
-        if self.rxqs is not None:
-            for rxq in self.rxqs:
-                rxq.reset_stats()
+        for rxq in self.rxqs:
+            rxq.reset_stats()
+        if self.steering is not None:
             self.steering.reset_stats()

@@ -188,7 +188,8 @@ class NetworkStack:
             for i in range(n_connections):
                 nic = Nic(machine, i, vectors[i], self.params)
                 machine.register_irq(
-                    IrqLine(vectors[i], nic.name, self._make_isr(nic))
+                    IrqLine(vectors[i], nic.name,
+                            self._make_isr(nic, nic.rxqs[0]))
                 )
                 self.nics.append(nic)
                 self.connections.append(self._make_connection(i, nic))
@@ -201,7 +202,7 @@ class NetworkStack:
             for rxq in nic.rxqs:
                 machine.register_irq(
                     IrqLine(rxq.vector, "%s-rxq%d" % (nic.name, rxq.qid),
-                            self._make_queue_isr(nic, rxq))
+                            self._make_isr(nic, rxq))
                 )
             nic.peer = PeerMux()
             machine.add_resettable(nic)
@@ -281,13 +282,9 @@ class NetworkStack:
     def _prime_rx_rings(self):
         """Fill every receive ring before traffic starts (driver init)."""
         for nic in self.nics:
-            if nic.rxqs is None:
+            for rxq in nic.rxqs:
                 for _ in range(self.params.rx_ring_size):
-                    nic.post_rx(self.pools.alloc_nocharge(0))
-            else:
-                for rxq in nic.rxqs:
-                    for _ in range(self.params.rx_ring_size):
-                        rxq.post_rx(self.pools.alloc_nocharge(0))
+                    rxq.post_rx(self.pools.alloc_nocharge(0))
 
     def start_peers(self):
         """Kick active peers (receive and iSCSI experiments)."""
@@ -303,70 +300,15 @@ class NetworkStack:
     # Interrupt service routine (top half; plain function).
     # ------------------------------------------------------------------
 
-    def _make_isr(self, nic):
+    def _make_isr(self, nic, rxq):
+        """The handler of one receive queue's vector: the completion
+        pops, ring touches and replenish all belong to ``rxq`` (a
+        one-queue NIC's only queue uses the device's own ring)."""
+
         def isr(ctx):
             specs = self.specs
             instr = self.instr
             # ICR read: an uncached MMIO read costs hundreds of cycles.
-            ctx.charge(
-                specs["e1000_intr"],
-                instr["e1000_intr"],
-                reads=[(nic.regs.addr, 64)],
-                extra_cycles=350,
-            )
-            tx_done, rx_frames = nic.claim()
-            if tx_done:
-                softnet = self.softnet[ctx.cpu_index]
-                ctx.charge(
-                    specs["e1000_clean_tx_irq"],
-                    instr["e1000_clean_tx_irq"]
-                    + 25 * len(tx_done),
-                    reads=[nic.tx_ring.field(0, 16 * min(64, len(tx_done)))],
-                    writes=[softnet.head_range()],
-                )
-                softnet.completion_queue.extend(tx_done)
-                ctx.raise_softirq(NET_TX_SOFTIRQ)
-            if rx_frames:
-                softnet = self.softnet[ctx.cpu_index]
-                ctx.charge(
-                    specs["e1000_clean_rx_irq"],
-                    instr["e1000_clean_rx_irq"]
-                    + 30 * len(rx_frames),
-                    reads=[nic.rx_ring.field(0, 16 * min(64, len(rx_frames)))],
-                )
-                for _, skb in rx_frames:
-                    ctx.charge(
-                        specs["netif_rx"],
-                        instr["netif_rx"],
-                        writes=[skb.head_range(256), softnet.head_range()],
-                    )
-                    softnet.enqueue_backlog(skb)
-                ctx.raise_softirq(NET_RX_SOFTIRQ)
-                # Replenish the ring (e1000_alloc_rx_buffers).
-                deficit = min(len(rx_frames), nic.rx_posted_deficit())
-                if deficit > 0:
-                    ctx.charge(
-                        specs["e1000_alloc_rx_buffers"],
-                        instr["e1000_alloc_rx_buffers"],
-                        writes=[nic.rx_ring.field(0, 16 * deficit)],
-                    )
-                    for _ in range(deficit):
-                        skb = self.pools.alloc(
-                            ctx, specs["alloc_skb"],
-                            instr["alloc_skb"],
-                        )
-                        nic.post_rx(skb)
-
-        return isr
-
-    def _make_queue_isr(self, nic, rxq):
-        """Per-queue MSI-X handler: like :meth:`_make_isr`, but the
-        cause register, completion pops, ring touches and replenish
-        all belong to one :class:`~repro.net.nic.RxQueue`."""
-
-        def isr(ctx):
-            specs = self.specs
-            instr = self.instr
             ctx.charge(
                 specs["e1000_intr"],
                 instr["e1000_intr"],
@@ -401,6 +343,7 @@ class NetworkStack:
                     )
                     softnet.enqueue_backlog(skb)
                 ctx.raise_softirq(NET_RX_SOFTIRQ)
+                # Replenish the ring (e1000_alloc_rx_buffers).
                 deficit = min(len(rx_frames), rxq.rx_posted_deficit())
                 if deficit > 0:
                     ctx.charge(

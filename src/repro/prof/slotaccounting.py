@@ -41,7 +41,7 @@ class SlotRegistry:
 
     def __init__(self, capacity=256):
         self.capacity = capacity
-        self.specs = []   # slot -> first FunctionSpec seen by that name
+        self.specs = []   # slot -> the one FunctionSpec under that name
         self.names = []   # slot -> function name
         self._spec_to_slot = {}
         self._name_to_slot = {}
@@ -67,17 +67,22 @@ class SlotRegistry:
         return slot
 
     def slot_for(self, spec):
-        """Slot of ``spec``, assigning one on first sight."""
+        """Slot of ``spec``, assigning one on first sight.
+
+        A second, distinct spec under a known name is rejected: the
+        compiled engine would charge the first spec's code to it and
+        merge both into one accounting row, where the pure engine keeps
+        two.  :meth:`~repro.cpu.function.FunctionTable.register`
+        never builds one.
+        """
         slot = self._spec_to_slot.get(spec)
         if slot is not None:
             return slot
-        slot = self._name_to_slot.get(spec.name)
-        if slot is not None:
-            # A second spec under a known name shares its slot: the
-            # reference branch predictor is keyed by name, so the
-            # slot-indexed C predictor must be too.
-            self._spec_to_slot[spec] = slot
-            return slot
+        if spec.name in self._name_to_slot:
+            raise ValueError(
+                "function %r already has a slot for a different spec"
+                % spec.name
+            )
         return self._assign(spec)
 
     def __len__(self):

@@ -533,6 +533,17 @@ class TestAccountingEquivalence:
         assert arr.rows() == []
         assert registry.slot_for(spec) == slot
 
+    def test_second_spec_under_known_name_rejected(self):
+        # Sharing the first spec's slot would make the compiled engine
+        # charge the first spec's code and merge both accounting rows.
+        registry = SlotRegistry()
+        first = _spec("fn")
+        slot = registry.slot_for(first)
+        with pytest.raises(ValueError, match="'fn'"):
+            registry.slot_for(_spec("fn"))
+        assert registry.slot_for(first) == slot
+        assert registry.names == ["fn"] and registry.specs == [first]
+
     @needs_compiled
     def test_registry_growth_notifies_branch_predictor(self):
         # More functions than the registry's initial 256 slots: the

@@ -2,13 +2,14 @@
 
 The paper's testbed is loss-free, but TCP's "corner cases abound"
 (section 2) -- the stack implements duplicate-ACK fast retransmit and
-RTO-based recovery, exercised here by dropping every Nth transmitted
-frame in the NIC.
+RTO-based recovery, exercised here by a fault plan that drops every
+Nth transmitted data frame at the NIC's wire boundary.
 """
 
 import pytest
 
 from repro.apps.ttcp import TtcpWorkload
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.kernel.machine import Machine
 from repro.net.params import NetParams
 from repro.net.stack import NetworkStack
@@ -23,8 +24,9 @@ def build_lossy(drop_every_n, n=2, size=65536, seed=21):
                          mode="tx", message_size=size)
     workload = TtcpWorkload(machine, stack, size)
     workload.spawn_all()
-    for nic in stack.nics:
-        nic.drop_every_n = drop_every_n
+    FaultInjector(
+        machine, FaultPlan(drop_every_n=drop_every_n, direction="tx")
+    ).attach(stack)
     machine.start()
     return machine, stack, workload
 

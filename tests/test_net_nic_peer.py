@@ -20,6 +20,7 @@ def rig():
     r.machine = Machine(n_cpus=2, seed=1)
     r.params = NetParams()
     r.nic = Nic(r.machine, 0, 0x19, r.params)
+    r.rxq = r.nic.rxqs[0]
     r.machine.register_irq(
         __import__("repro.kernel.interrupts", fromlist=["IrqLine"]).IrqLine(
             0x19, "eth0", lambda ctx: None
@@ -27,7 +28,7 @@ def rig():
     )
     r.pools = SkbPools(r.machine, r.params)
     for _ in range(32):
-        r.nic.post_rx(r.pools.alloc_nocharge(0))
+        r.rxq.post_rx(r.pools.alloc_nocharge(0))
     return r
 
 
@@ -46,13 +47,47 @@ class TestPacket:
         assert pkt.end_seq == 150
 
 
+class TestSingleQueueDevice:
+    """The paper's single-vector NIC is a Nic with one RxQueue that
+    owns nothing: ring, vector and TX lock are the device's own."""
+
+    def test_one_queue_shares_the_device_resources(self, rig):
+        nic = rig.nic
+        assert len(nic.rxqs) == 1 and nic.steering is None
+        rxq = nic.rxqs[0]
+        assert rxq.qid == 0
+        assert rxq.ring is nic.rx_ring
+        assert rxq.tx_lock is nic.tx_lock
+        assert rxq.vector == nic.vector == 0x19
+        assert nic.tx_lock_for(7) is nic.tx_lock
+        assert nic.rxq_for(7) is rxq
+
+    def test_one_queue_allocates_nothing(self):
+        machine = Machine(n_cpus=2, seed=1)
+        before = len(machine.space.objects)
+        Nic(machine, 3, 0x1A, NetParams())
+        added = [obj.name for obj in machine.space.objects[before:]]
+        assert added == [
+            "eth3:tx_ring", "eth3:rx_ring", "eth3:regs", "lock:tx_lock:eth3",
+        ]
+
+    def test_frames_and_irqs_count_on_queue_and_device(self, rig):
+        rig.nic.deliver_frame(data_packet(0, 0, 1460))
+        rig.machine.engine.run(
+            until=rig.params.wire_cycles(1514)
+            + rig.params.coalesce_cycles + 100
+        )
+        assert rig.rxq.frames_steered == 1
+        assert rig.rxq.irqs_fired == rig.nic.irqs_fired == 1
+
+
 class TestNicReceive:
     def test_frame_dma_after_wire_delay(self, rig):
         rig.nic.deliver_frame(data_packet(0, 0, 1460))
         assert rig.nic.frames_in == 0  # not yet: wire serialization
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) + 10)
         assert rig.nic.frames_in == 1
-        assert len(rig.nic.rx_pending) == 1
+        assert len(rig.rxq.rx_pending) == 1
 
     def test_wire_serializes_back_to_back_frames(self, rig):
         for seq in (0, 1460):
@@ -65,7 +100,7 @@ class TestNicReceive:
 
     def test_rx_dma_invalidates_buffer(self, rig):
         # Warm the posted buffer in CPU0's cache, then receive into it.
-        skb = rig.nic.rx_posted[0]
+        skb = rig.rxq.rx_posted[0]
         cpu = rig.machine.cpus[0]
         spec = rig.machine.functions.register("toucher", "engine")
         first_line = [(skb.data.addr, 64)]
@@ -83,7 +118,7 @@ class TestNicReceive:
         assert cpu.totals[LLC_MISSES] == misses + 1  # invalidated
 
     def test_drops_when_ring_empty(self, rig):
-        rig.nic.rx_posted = []
+        rig.rxq.rx_posted = []
         rig.nic.deliver_frame(data_packet(0, 0, 1460))
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) + 10)
         assert rig.nic.rx_drops == 1
@@ -92,7 +127,7 @@ class TestNicReceive:
         pkt = data_packet(0, 2920, 1460)
         rig.nic.deliver_frame(pkt)
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) + 10)
-        _, skb = rig.nic.rx_pending[0]
+        _, skb = rig.rxq.rx_pending[0]
         assert skb.pkt is pkt
         assert skb.seq == 2920 and skb.len == 1460
 
@@ -119,8 +154,8 @@ class TestCoalescing:
             rig.nic.deliver_frame(data_packet(0, i * 1460, 1460))
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) * 40)
         assert rig.nic.irqs_fired == 1  # latched until the ISR claims
-        rig.nic.claim()
-        assert rig.nic.rx_pending == []
+        rig.rxq.claim()
+        assert rig.rxq.rx_pending == []
 
 
 class TestSinkPeer:

@@ -82,8 +82,9 @@ class TestTxIntegrity:
             live += len(conn.sock.receive_queue)
             live += len(conn.sock.backlog)
         for nic in stack.nics:
-            live += len(nic.rx_posted) + len(nic.rx_pending)
-            live += len(nic.tx_done)
+            for rxq in nic.rxqs:
+                live += len(rxq.rx_posted) + len(rxq.rx_pending)
+                live += len(rxq.tx_done)
         for softnet in stack.softnet:
             live += len(softnet.backlog) + len(softnet.completion_queue)
         # In-flight clones on the wire: tx frames scheduled but not yet

@@ -291,6 +291,12 @@ class TestEndToEnd:
         assert sum(result.ipis) > 0  # the check must not be vacuous
         assert trace["counts"]["ipi_send"] == sum(result.ipis)
 
+    def test_single_queue_nic_emits_no_rx_steer(self, traced_run):
+        # Every ACK passes through Nic._rx_dma, but a one-queue NIC
+        # has no classifier, so nothing is steered.
+        _, result = traced_run
+        assert "rx_steer" not in result["trace"]["counts"]
+
     def test_migrations_match_scheduler(self, traced_run):
         _, result = traced_run
         assert result["trace"]["migrations"] == result["migrations"]
