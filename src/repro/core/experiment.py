@@ -580,12 +580,23 @@ def run_experiment(config, cache=None, progress=None):
             return hit
     if progress:
         progress("running %s" % config.label())
-    result = _simulate(config)
-    # The finished machine is a web of reference cycles, freed only by
-    # the cyclic collector, whose timing depends on allocation counts.
-    # Collecting here keeps dead machines from piling up under the next
-    # cell and setting the process's peak memory.
-    gc.collect()
+    # The collector is off for the whole cell -- construction, run and
+    # payload build: the event loop allocates almost nothing that
+    # survives a cycle, so passes mid-cell are pure overhead.  The
+    # finished machine is a web of reference cycles; collecting it here
+    # keeps dead machines from piling up under the next cell and
+    # setting the process's peak memory.  With no automatic pass during
+    # the cell, everything it allocated is still in the youngest
+    # generation, so a young collection frees the machine without
+    # traversing the process's long-lived objects.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = _simulate(config)
+        gc.collect(0)
+    finally:
+        if was_enabled:
+            gc.enable()
     if cache is not None and not traced:
         cache.put(config, result)
     return result
@@ -684,20 +695,11 @@ def _simulate(config):
                 events=config.trace.events,
             )
         )
-    # The event loop allocates almost nothing that survives a cycle;
-    # generational GC passes in the middle of a run are pure overhead
-    # (and cannot affect results -- nothing simulated is reclaimed).
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        machine.start()
-        stack.start_peers()
-        machine.run_for(config.warmup_ms * MS)
-        machine.reset_measurement()
-        machine.run_for(config.measure_ms * MS)
-    finally:
-        if was_enabled:
-            gc.enable()
+    machine.start()
+    stack.start_peers()
+    machine.run_for(config.warmup_ms * MS)
+    machine.reset_measurement()
+    machine.run_for(config.measure_ms * MS)
     # Dynamic-placement controllers (IRQ rotation, RSS steering) re-arm
     # themselves; cancel the pending event so nothing fires past the
     # measurement window.

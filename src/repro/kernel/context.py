@@ -29,7 +29,7 @@ class ExecContext:
     """Binding of executing kernel code to a CPU and the machine."""
 
     __slots__ = ("machine", "cpu", "kind", "task", "locks_held",
-                 "current_spec", "pending_irqs")
+                 "pending_irqs")
 
     def __init__(self, machine, cpu, kind, task=None):
         self.machine = machine
@@ -49,9 +49,6 @@ class ExecContext:
         #: ``spin_lock_bh`` discipline of the network stack) and the
         #: task cannot be preempted or block.
         self.locks_held = 0
-        #: Last function spec charged -- the attribution target for
-        #: machine clears caused by asynchronous interruptions (IPIs).
-        self.current_spec = None
 
     @property
     def now(self):
@@ -70,12 +67,13 @@ class ExecContext:
                branches=None, mispredicts=None):
         """Execute one function invocation on the current CPU.
 
-        After the charge, pending device interrupts are delivered
-        (unless we *are* the interrupt handler), so interrupt latency
-        is bounded by a single function's execution -- the granularity
-        declared in DESIGN.md.
+        After the charge, interrupts pending on the CPU are delivered
+        (unless we *are* the interrupt handler).  Devices raise their
+        lines only from engine events, and no event fires while a CPU
+        steps, so in practice this check finds nothing: a device
+        interrupt waits for the target CPU's next step, up to
+        ``STEP_QUANTUM`` cycles (see DESIGN.md section 6).
         """
-        self.current_spec = spec
         # Positional call: this wrapper runs once per simulated function
         # invocation and keyword argument binding is measurable here.
         cycles = self.cpu.charge(

@@ -10,11 +10,13 @@ This module breaks that ceiling with two structures:
 :class:`FlowPopulation`
     The *flyweight* record of every flow in the experiment: one
     columnar ``array('i')`` mapping flow id -> static RSS queue, built
-    with the table-driven Toeplitz classifier and interned per
-    ``(n_flows, n_queues, entries)`` so repeated sweep cells (and the
-    parallel sweep's worker processes) share a single immutable copy.
-    4 bytes per flow -- a 100K-flow population is 400KB, versus ~10KB
-    of Python object graph per fully-simulated flow.
+    with the closed-form classifier :func:`repro.net.rss.flow_hash`
+    and interned per ``(n_flows, n_queues, entries)`` so repeated
+    cells in one process share a single immutable copy.  The interning
+    is per process: a parallel sweep's parent never builds one, so
+    each forked worker classifies the population itself, once per
+    geometry.  4 bytes per flow -- a 100K-flow population is 400KB,
+    versus ~10KB of Python object graph per fully-simulated flow.
 
 :class:`FlowClass`
     One group of statistically-identical flows: same transaction size,
@@ -45,11 +47,7 @@ bit-identically for singleton classes and within tolerance at N=64.
 
 from array import array
 
-from repro.net.rss import (
-    INDIRECTION_ENTRIES,
-    flow_tuple_bytes,
-    toeplitz_hash_fast,
-)
+from repro.net.rss import INDIRECTION_ENTRIES, flow_hash
 
 
 class FlowClass:
@@ -73,7 +71,8 @@ class FlowPopulation:
     """Columnar per-flow state: flow id -> static RSS queue.
 
     Immutable after construction and safe to share -- interned copies
-    are handed to every experiment with the same geometry.
+    are handed to every experiment in the process with the same
+    geometry.
     """
 
     __slots__ = ("n_flows", "n_queues", "entries", "queues", "queue_counts")
@@ -91,15 +90,12 @@ class FlowPopulation:
         # same Toeplitz + indirection lookup NicSteering performs at
         # receive time (RssIndirection's default round-robin table is
         # ``index % n_queues``).
-        queues = array("i", bytes(4 * n_flows))
-        counts = [0] * n_queues
-        for conn_id in range(n_flows):
-            q = (toeplitz_hash_fast(flow_tuple_bytes(conn_id)) & mask) \
-                % n_queues
-            queues[conn_id] = q
-            counts[q] += 1
+        queues = array("i", [
+            (flow_hash(conn_id) & mask) % n_queues
+            for conn_id in range(n_flows)
+        ])
         self.queues = queues
-        self.queue_counts = tuple(counts)
+        self.queue_counts = tuple(queues.count(q) for q in range(n_queues))
 
     def queue_for(self, conn_id):
         return self.queues[conn_id]
@@ -136,14 +132,13 @@ def partition_flows(n_flows, n_queues, entries=INDIRECTION_ENTRIES):
     to the exact path by construction.
     """
     pop = flow_population(n_flows, n_queues, entries)
-    classes = []
-    by_queue = {}
-    for conn_id in range(n_flows):
-        q = pop.queues[conn_id]
-        fc = by_queue.get(q)
-        if fc is None:
-            fc = FlowClass(len(classes), q, conn_id, 0)
-            by_queue[q] = fc
-            classes.append(fc)
-        fc.weight += 1
-    return pop, classes
+    # A queue's representative is its first flow: one C-speed scan of
+    # the queue column per occupied queue, never a per-flow loop.
+    reps = sorted(
+        (pop.queues.index(q), q)
+        for q, count in enumerate(pop.queue_counts) if count
+    )
+    return pop, [
+        FlowClass(class_id, q, rep, pop.queue_counts[q])
+        for class_id, (rep, q) in enumerate(reps)
+    ]

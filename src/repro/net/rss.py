@@ -27,6 +27,8 @@ simulated hardware:
   segments and duplicate ACKs.
 """
 
+from array import array
+
 #: The canonical 40-byte Toeplitz hash key from the Microsoft RSS
 #: verification suite.  Any key works for load spreading; using the
 #: reference key lets the implementation be checked against the
@@ -71,15 +73,15 @@ def toeplitz_hash(data, key=TOEPLITZ_KEY):
     return result
 
 
-#: Lazily-built lookup tables for :func:`toeplitz_hash_fast`, keyed by
-#: ``(key, input_length)``: one 256-entry XOR table per byte position.
-_FAST_TABLES = {}
-
-
 def _toeplitz_tables(key, n_bytes):
-    tables = _FAST_TABLES.get((key, n_bytes))
-    if tables is not None:
-        return tables
+    """Per-byte-position XOR tables of the Toeplitz hash.
+
+    Because the hash is linear over GF(2), the contribution of each
+    input byte is independent of every other byte: ``tables[p][v]`` is
+    the hash of an ``n_bytes`` input that is zero except for value
+    ``v`` at position ``p``, and the hash of any input is the XOR of
+    its bytes' entries.
+    """
     key_int = int.from_bytes(key, "big")
     key_bits = len(key) * 8
     if n_bytes * 8 > key_bits - 32:
@@ -98,28 +100,17 @@ def _toeplitz_tables(key, n_bytes):
                     h ^= windows[8 * p + j]
             table[v] = h
         tables.append(tuple(table))
-    tables = tuple(tables)
-    _FAST_TABLES[(key, n_bytes)] = tables
-    return tables
+    return tuple(tables)
 
 
-def toeplitz_hash_fast(data, key=TOEPLITZ_KEY):
-    """Table-driven Toeplitz: identical output, one lookup per byte.
-
-    The bitwise reference above costs ~100 Python operations per input
-    byte; classifying a 100K-flow population with it costs seconds.
-    Because the hash is linear over GF(2), the contribution of each
-    input byte is independent of every other byte, so a per-position
-    256-entry XOR table (built once per ``(key, length)`` and cached)
-    collapses the hash to ``len(data)`` lookups.  Equality with
-    :func:`toeplitz_hash` is pinned by test on the Microsoft RSS
-    verification vectors and on random inputs.
-    """
-    tables = _toeplitz_tables(key, len(data))
-    h = 0
-    for p, byte in enumerate(data):
-        h ^= tables[p][byte]
-    return h
+#: Client hosts per /24 subnet and subnets per /16 in the synthesized
+#: flow tuples (addresses 10.0.0-249.1-250).
+_HOSTS = 250
+#: Ephemeral source ports: ``_PORT_BASE`` plus the connection id's
+#: Knuth multiplicative hash modulo ``_PORT_SPAN``.
+_PORT_BASE = 32768
+_PORT_SPAN = 28233
+_PORT_MULT = 2654435761
 
 
 def flow_tuple_bytes(conn_id):
@@ -137,12 +128,55 @@ def flow_tuple_bytes(conn_id):
     hit queue 0 with the canonical key) -- and real stacks randomize
     ephemeral port selection for unrelated reasons anyway.
     """
-    src_ip = bytes((10, 0, (conn_id // 250) % 250, 1 + conn_id % 250))
+    src_ip = bytes((10, 0, (conn_id // _HOSTS) % _HOSTS,
+                    1 + conn_id % _HOSTS))
     dst_ip = bytes((10, 0, 1, 1))
-    src_port = 32768 + (conn_id * 2654435761) % 28233
+    src_port = _PORT_BASE + (conn_id * _PORT_MULT) % _PORT_SPAN
     dst_port = 5001
     return (src_ip + dst_ip
             + src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big"))
+
+
+#: :func:`flow_hash`'s lookup tables, built on first use.
+_FLOW_TABLES = None
+
+
+def _flow_hash_tables():
+    global _FLOW_TABLES
+    tables = _toeplitz_tables(TOEPLITZ_KEY, 12)
+    # The tuple's constant part: destination address and port, the
+    # client network prefix.  Its hash folds into the host table.
+    fixed = bytearray(flow_tuple_bytes(0))
+    fixed[2] = fixed[3] = fixed[8] = fixed[9] = 0
+    base = 0
+    for p, v in enumerate(fixed):
+        base ^= tables[p][v]
+    _FLOW_TABLES = (
+        array("I", tables[2][:_HOSTS]),
+        array("I", [base ^ tables[3][1 + i] for i in range(_HOSTS)]),
+        array("I", [
+            tables[8][port >> 8] ^ tables[9][port & 0xFF]
+            for port in range(_PORT_BASE, _PORT_BASE + _PORT_SPAN)
+        ]),
+    )
+    return _FLOW_TABLES
+
+
+def flow_hash(conn_id):
+    """``toeplitz_hash(flow_tuple_bytes(conn_id))`` in closed form.
+
+    Toeplitz is linear over GF(2), and the flow tuple varies in only
+    three fields: the client subnet byte, the client host byte and the
+    source port.  The hash is therefore a constant XOR one lookup per
+    field, in tables over each field's values (250, 250 and 28,233
+    entries; the constant is folded into the host table).  Equality
+    with the bit-serial reference is pinned by test on both sides of
+    every period boundary.
+    """
+    subnet, host, port = _FLOW_TABLES or _flow_hash_tables()
+    return (subnet[(conn_id // _HOSTS) % _HOSTS]
+            ^ host[conn_id % _HOSTS]
+            ^ port[(conn_id * _PORT_MULT) % _PORT_SPAN])
 
 
 class RssIndirection:
@@ -226,26 +260,14 @@ class NicSteering:
         self.indirection = RssIndirection(n_queues)
         self.flow_director = FlowDirector(n_queues)
         self.fd_enabled = False
-        #: Per-flow Toeplitz results; the hash is a pure function of
-        #: the 4-tuple, so memoizing it is behaviour-neutral.
-        self._hash_cache = {}
         self.rx_lookups = 0
 
     def enable_flow_director(self):
         self.fd_enabled = True
 
-    def hash_for(self, conn_id):
-        cached = self._hash_cache.get(conn_id)
-        if cached is None:
-            # Table-driven variant of the reference hash: pinned
-            # bit-identical by test, ~10x cheaper per classification.
-            cached = toeplitz_hash_fast(flow_tuple_bytes(conn_id))
-            self._hash_cache[conn_id] = cached
-        return cached
-
     def rss_queue_for(self, conn_id):
         """The static RSS queue (indirection table on the 4-tuple)."""
-        return self.indirection.lookup(self.hash_for(conn_id))
+        return self.indirection.lookup(flow_hash(conn_id))
 
     def queue_for(self, conn_id):
         """The queue the NIC steers ``conn_id`` to right now."""

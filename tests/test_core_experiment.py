@@ -1,5 +1,6 @@
 """Tests for experiment configuration, execution and caching."""
 
+import gc
 import json
 
 import pytest
@@ -117,3 +118,48 @@ class TestCache:
         cache.put(cfg, none)
         cache.clear()
         assert cache.get(cfg) is None
+
+
+class TestMemoryRelease:
+    """Each cell's machine is freed before ``run_experiment`` returns."""
+
+    @staticmethod
+    def _config(aggregated, n_cpus):
+        return ExperimentConfig(
+            workload="ttcp", direction="rx", affinity="rss",
+            n_connections=64 if aggregated else 8, n_cpus=n_cpus,
+            n_queues=2 if aggregated else 1,
+            aggregation="class" if aggregated else "exact",
+            message_size=16384, warmup_ms=1, measure_ms=1, seed=7,
+        )
+
+    def test_consecutive_cells_leave_nothing_tracked(self):
+        from repro.kernel.machine import Machine
+        from repro.net.stack import NetworkStack
+
+        def machines():
+            # Ids only: holding the objects would keep them alive.
+            return {id(o) for o in gc.get_objects()
+                    if isinstance(o, (Machine, NetworkStack))}
+
+        # Machines other tests still hold (fixtures, live results).
+        before = machines()
+        cells = [(False, 2), (True, 8), (False, 8), (True, 2),
+                 (False, 2), (True, 8)]
+        counts = []
+        # With automatic collection off, only run_experiment's own
+        # collection can free a finished machine.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for aggregated, n_cpus in cells:
+                run_experiment(self._config(aggregated, n_cpus))
+                assert machines() <= before, (aggregated, n_cpus)
+                counts.append(len(gc.get_objects()))
+        finally:
+            if was_enabled:
+                gc.enable()
+        # The first cell of each kind may intern shared state; after
+        # that the process holds no more objects from cell to cell (a
+        # leaked machine would be thousands).
+        assert max(counts[2:]) - counts[1] <= 64, counts

@@ -9,6 +9,8 @@ out of pre-existing cache keys.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiment import (
     AUTO_AGGREGATION_MIN_FLOWS,
@@ -20,9 +22,11 @@ from repro.net.flowclass import flow_population, partition_flows
 from repro.net.params import NetParams
 from repro.net.rss import (
     TOEPLITZ_KEY,
+    RssIndirection,
+    _toeplitz_tables,
+    flow_hash,
     flow_tuple_bytes,
     toeplitz_hash,
-    toeplitz_hash_fast,
 )
 from repro.net.sock import BUFFER_SCALE_CAP, Sock
 from repro.prof.slotaccounting import ClassColumns
@@ -46,34 +50,53 @@ def _config(**overrides):
 
 
 class TestFastToeplitz:
-    # The table-driven hash must agree with the bit-serial reference
-    # everywhere; the MS verification vectors pin both to the spec.
+    # The closed-form flow classifier must agree with the bit-serial
+    # reference everywhere; the MS verification vectors pin the
+    # reference to the spec.
     def test_ms_vector_tcp(self):
         data = (bytes((66, 9, 149, 187)) + bytes((161, 142, 100, 80))
                 + (2794).to_bytes(2, "big") + (1766).to_bytes(2, "big"))
-        assert toeplitz_hash_fast(data) == 0x51CCC178
-        assert toeplitz_hash_fast(data) == toeplitz_hash(data)
+        assert toeplitz_hash(data) == 0x51CCC178
 
     def test_ms_vector_ip_only(self):
         data = bytes((66, 9, 149, 187)) + bytes((161, 142, 100, 80))
-        assert toeplitz_hash_fast(data) == 0x323E8FC2
+        assert toeplitz_hash(data) == 0x323E8FC2
 
     def test_matches_reference_on_flow_tuples(self):
         for conn_id in range(512):
-            data = flow_tuple_bytes(conn_id)
-            assert toeplitz_hash_fast(data) == toeplitz_hash(data)
+            assert flow_hash(conn_id) == toeplitz_hash(
+                flow_tuple_bytes(conn_id))
+
+    def test_matches_reference_at_period_boundaries(self):
+        # Each varying tuple field repeats with its own period: the
+        # host byte every 250 flows, the subnet byte every 62,500 and
+        # the source port every 28,233.  Check both sides of every
+        # boundary up to 10**6.
+        limit = 10 ** 6
+        conn_ids = {0, limit - 1}
+        for period in (250, 28233, 62500):
+            for edge in range(period, limit, period):
+                conn_ids.update((edge - 1, edge))
+        for conn_id in sorted(conn_ids):
+            assert flow_hash(conn_id) == toeplitz_hash(
+                flow_tuple_bytes(conn_id)), conn_id
 
     def test_matches_reference_on_arbitrary_bytes(self):
-        # Deterministic pseudo-random inputs of every modeled length.
+        # The per-byte tables flow_hash is built from: XOR-ing an
+        # input's entries gives its hash.  Deterministic pseudo-random
+        # inputs of every modeled length.
         state = 0x2545F491
         for length in (4, 8, 12):
+            tables = _toeplitz_tables(TOEPLITZ_KEY, length)
             for _ in range(64):
                 data = bytes(
                     (state := (state * 48271) % 0x7FFFFFFF) & 0xFF
                     for _ in range(length)
                 )
-                assert (toeplitz_hash_fast(data, TOEPLITZ_KEY)
-                        == toeplitz_hash(data, TOEPLITZ_KEY))
+                h = 0
+                for p, byte in enumerate(data):
+                    h ^= tables[p][byte]
+                assert h == toeplitz_hash(data, TOEPLITZ_KEY)
 
 
 class TestPartition:
@@ -102,6 +125,27 @@ class TestPartition:
         occ = pop.occupancy()
         for fc in classes:
             assert occ[fc.queue] == fc.weight
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_flows=st.integers(1, 5000), n_queues=st.integers(1, 16))
+    def test_matches_per_flow_grouping(self, n_flows, n_queues):
+        # Brute force: classify every flow through the receive-time
+        # indirection lookup and group in flow-id order.
+        indirection = RssIndirection(n_queues)
+        queues = [indirection.lookup(flow_hash(c)) for c in range(n_flows)]
+        by_queue = {}
+        for conn_id, q in enumerate(queues):
+            by_queue.setdefault(q, []).append(conn_id)
+        expected = [
+            (class_id, q, flows[0], len(flows))
+            for class_id, (q, flows) in enumerate(by_queue.items())
+        ]
+        pop, classes = partition_flows(n_flows, n_queues)
+        assert [
+            (fc.class_id, fc.queue, fc.rep_conn_id, fc.weight)
+            for fc in classes
+        ] == expected
+        assert list(pop.queues) == queues
 
 
 class TestFlyweight:
