@@ -109,7 +109,7 @@ from repro.trace import (
 from repro.trace.export import DEFAULT_HZ
 
 
-def _add_common(parser):
+def _add_common(parser, jobs=None):
     parser.add_argument("--direction", choices=("tx", "rx"), default="tx")
     parser.add_argument("--size", type=int, default=65536,
                         help="ttcp transaction size in bytes")
@@ -118,8 +118,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--warmup-ms", type=int, default=20)
     parser.add_argument("--measure-ms", type=int, default=30)
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always re-run, ignore cached results")
+    _add_runner(parser, jobs)
     parser.add_argument("--workload", choices=("ttcp", "iscsi", "web"),
                         default="ttcp",
                         help="application driving the stack")
@@ -134,6 +133,28 @@ def _add_common(parser):
              "'loss=0.01' or 'reorder=0.005,depth=4,irq=0.1' "
              "(keys: loss, reorder, depth, dup, irq, irq_delay_us, "
              "reorder_flush_us, direction, rto_ms, drop_every_n)")
+
+
+def _add_runner(parser, jobs=None):
+    """``--no-cache``, plus the SweepRunner flags (``--jobs`` defaulting
+    to ``jobs``, ``--cell-timeout``, ``--retries``) unless ``jobs`` is
+    ``None``."""
+    parser.add_argument("--no-cache", action="store_true",
+                        help="always re-run, ignore cached results")
+    if jobs is None:
+        return
+    parser.add_argument(
+        "--jobs", type=int, default=jobs,
+        help="worker processes (1 = serial; 0 = one per CPU / "
+             "$REPRO_JOBS; default %d)" % jobs)
+    parser.add_argument(
+        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        help="wall-clock watchdog per cell; cells past it are retried "
+             "then quarantined instead of hanging the study")
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="same-seed re-runs granted to a failing cell before it "
+             "is quarantined (default 1)")
 
 
 def _add_runstore(parser):
@@ -684,7 +705,7 @@ def build_parser():
     p_sweep = sub.add_parser(
         "sweep", help="regenerate Figures 3-4 for one direction"
     )
-    _add_common(p_sweep)
+    _add_common(p_sweep, jobs=1)
     p_sweep.add_argument("--sizes", type=int, nargs="+",
                          default=[128, 1024, 8192, 65536])
     p_sweep.add_argument(
@@ -693,18 +714,6 @@ def build_parser():
              "four: %s; any of %s -- 'toe' adds the transport-offload "
              "column, flow-director needs --queues > 1)"
              % (",".join(AFFINITY_MODES), ", ".join(EXTENDED_MODES)))
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (1 = serial; 0 = one per "
-             "CPU / $REPRO_JOBS)")
-    p_sweep.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per sweep cell; cells past it are "
-             "retried then quarantined instead of hanging the sweep")
-    p_sweep.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell before it "
-             "is quarantined (default 1)")
     _add_runstore(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -742,18 +751,7 @@ def build_parser():
     p_scale.add_argument("--seed", type=int, default=7)
     p_scale.add_argument("--warmup-ms", type=int, default=2)
     p_scale.add_argument("--measure-ms", type=int, default=3)
-    p_scale.add_argument("--no-cache", action="store_true",
-                         help="always re-run, ignore cached results")
-    p_scale.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (1 = serial; 0 = one per CPU / "
-             "$REPRO_JOBS)")
-    p_scale.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per cell")
-    p_scale.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell (default 1)")
+    _add_runner(p_scale, jobs=0)
     p_scale.add_argument(
         "--coalesce-sweep", action="store_true",
         help="run the ITR coalescing sweep instead of the CPU grid: "
@@ -797,8 +795,7 @@ def build_parser():
     p_off.add_argument("--seed", type=int, default=3)
     p_off.add_argument("--warmup-ms", type=int, default=10)
     p_off.add_argument("--measure-ms", type=int, default=14)
-    p_off.add_argument("--no-cache", action="store_true",
-                       help="always re-run, ignore cached results")
+    _add_runner(p_off)
     _add_runstore(p_off)
     p_off.set_defaults(func=cmd_offload)
 
@@ -836,18 +833,7 @@ def build_parser():
     # Smaller windows than run/sweep: a diagnosis is dozens of cells.
     p_diag.add_argument("--warmup-ms", type=int, default=5)
     p_diag.add_argument("--measure-ms", type=int, default=10)
-    p_diag.add_argument("--no-cache", action="store_true",
-                        help="always re-run, ignore cached results")
-    p_diag.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (1 = serial; 0 = one per CPU / "
-             "$REPRO_JOBS)")
-    p_diag.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per cell")
-    p_diag.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell (default 1)")
+    _add_runner(p_diag, jobs=0)
     p_diag.add_argument(
         "--json", metavar="PATH", default=None,
         help="report JSON path (default results/diagnosis_<direction>"

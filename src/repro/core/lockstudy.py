@@ -13,7 +13,7 @@ This module reproduces both halves: the static implementation (as
 modelled in :mod:`repro.kernel.locks`) and the dynamic comparison.
 """
 
-from repro.cpu.events import BRANCHES, BR_MISPREDICTS, INSTRUCTIONS
+from repro.cpu.events import BRANCHES, BR_MISPREDICTS
 
 #: The paper's Table 2, as structured data (address, instruction,
 #: comment), matching the modelled cost constants in kernel.locks.
@@ -48,14 +48,6 @@ class LockComparison:
             else (self.full_vec, self.full_bits)
         )
         return vec[BRANCHES] / float(bits) if bits else 0.0
-
-    def instructions_per_bit(self, mode):
-        vec, bits = (
-            (self.none_vec, self.none_bits)
-            if mode == "none"
-            else (self.full_vec, self.full_bits)
-        )
-        return vec[INSTRUCTIONS] / float(bits) if bits else 0.0
 
     def branch_collapse_ratio(self):
         """full-affinity lock branches as a fraction of no-affinity's

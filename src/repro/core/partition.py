@@ -103,8 +103,3 @@ def projected_gain(partition, fast_path_gain):
     if reduced <= 0:
         raise ValueError("gain out of range")
     return 1.0 / reduced - 1.0
-
-
-def projection_error(partition, fast_path_gain, measured_gain):
-    """Absolute difference between projected and measured gains."""
-    return abs(projected_gain(partition, fast_path_gain) - measured_gain)

@@ -552,8 +552,3 @@ def render_coalesce_table(sweep, grid, variants, direction, n_queues):
                 "0" if off is None else str(off["itr_holds"]),
             )
     return table.render()
-
-
-def render_run_summary(result):
-    """One-line experiment summary."""
-    return result.summary()

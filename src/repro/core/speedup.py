@@ -79,20 +79,3 @@ def improvement_table(result_none, result_full):
         totals["cycles"], totals["llc"], totals["clears"],
     )
     return rows
-
-
-def improvement_assertions(rows, direction, size):
-    """The paper's qualitative Table 3 claims for one corner."""
-    checks = {
-        "total cycle improvement is positive": rows["overall"].cycles > 0,
-        "LLC improvement is positive": rows["overall"].llc > 0,
-        "engine + buf_mgmt dominate the cycle improvement": (
-            rows["engine"].cycles + rows["buf_mgmt"].cycles
-            >= 0.45 * max(rows["overall"].cycles, 1e-12)
-        ),
-        "copies barely improve": (
-            abs(rows["copies"].cycles) <= 0.25 * max(rows["overall"].cycles, 1e-12)
-            or abs(rows["copies"].cycles) < 0.02
-        ),
-    }
-    return checks

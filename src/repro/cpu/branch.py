@@ -64,10 +64,6 @@ class BranchPredictor:
         self.mispredicts += whole
         return whole
 
-    def forget(self, fn_name):
-        """Drop state for one function (used by fault-injection tests)."""
-        self._entries.pop(fn_name, None)
-
     def warmth(self, fn_name):
         """Invocations seen for ``fn_name`` on this CPU (0 if unknown)."""
         entry = self._entries.get(fn_name)

@@ -1,18 +1,25 @@
-"""Set-associative cache with true-LRU replacement.
+"""Set-associative caches with true-LRU replacement.
 
 Tags are full cache-line numbers (byte address / 64); the set index is
-the low bits of the line number.  Each set is a short Python list kept
-in MRU-first order -- ``list.index`` / ``insert`` on lists of at most
-``ways`` (4-16) elements run in C and beat any fancier structure at
-these sizes, and this is the hottest code in the whole simulator.
+the low bits of the line number.  Each :class:`SetAssocCache` set is a
+short Python list kept in MRU-first order -- ``list.index`` /
+``insert`` on lists of at most ``ways`` (4-16) elements run in C and
+beat any fancier structure at these sizes.
+
+The pure engine never calls a data cache's methods on the hot path:
+:meth:`repro.cpu.core.Cpu._read_range` / ``_write_range`` walk all
+three levels in one fused loop over the ``_sets`` lists and bump
+``hits``/``misses`` directly.  :meth:`SetAssocCache.access` is the one
+line-at-a-time statement of the same transition, kept as the reference
+the fused-walk differential checks every level against
+(``tests/test_access_range_edges.py``).
 """
 
 
 class SetAssocCache:
     """One level of a private cache hierarchy."""
 
-    __slots__ = ("geometry", "_mask", "_sets", "_ways", "_mru", "hits",
-                 "misses")
+    __slots__ = ("geometry", "_mask", "_sets", "_ways", "hits", "misses")
 
     def __init__(self, geometry):
         self.geometry = geometry
@@ -24,15 +31,6 @@ class SetAssocCache:
         self._mask = n_sets - 1
         self._ways = geometry.ways
         self._sets = [[] for _ in range(n_sets)]
-        #: The current MRU line of every non-empty set.  Maintained by
-        #: this class's own mutators so :meth:`miss_count` can prove an
-        #: entire fetch sequence hits without touching any set list (an
-        #: all-MRU walk is a no-op on cache state).  The CPU's fused
-        #: data walk bypasses these methods and does not maintain this
-        #: set -- that is fine because only the trace cache (which is
-        #: driven exclusively through :meth:`miss_count` and friends)
-        #: consumes it.
-        self._mru = set()
         self.hits = 0
         self.misses = 0
 
@@ -48,166 +46,22 @@ class SetAssocCache:
         if bucket and bucket[0] == line:
             self.hits += 1  # already MRU: the LRU move is a no-op
             return True
-        mru = self._mru
         try:
             pos = bucket.index(line)
         except ValueError:
             self.misses += 1
-            if bucket:
-                mru.discard(bucket[0])
-            mru.add(line)
             bucket.insert(0, line)
             if len(bucket) > self._ways:
                 bucket.pop()
             return False
         self.hits += 1
-        mru.discard(bucket[0])
-        mru.add(line)
         del bucket[pos]
         bucket.insert(0, line)
         return True
 
-    def access_lines(self, lines):
-        """Look up many lines in one call; fill each miss (evicting LRU).
-
-        ``lines`` is any iterable of distinct line numbers (typically a
-        ``range`` from :func:`repro.mem.layout.line_span`).  Returns
-        ``(hits, missed)`` where ``missed`` is the list of lines that
-        missed, in access order -- the worklist for the next cache
-        level.  Behaviour is exactly N calls to :meth:`access`; the
-        batching only hoists the attribute lookups and method dispatch
-        out of the per-line loop, which is where the simulator's time
-        goes on multi-KB copies.
-        """
-        sets = self._sets
-        mask = self._mask
-        ways = self._ways
-        mru = self._mru
-        hits = 0
-        missed = []
-        miss = missed.append
-        for line in lines:
-            bucket = sets[line & mask]
-            if bucket and bucket[0] == line:
-                hits += 1  # already MRU: the LRU move is a no-op
-            elif line in bucket:
-                hits += 1
-                mru.discard(bucket[0])
-                mru.add(line)
-                del bucket[bucket.index(line)]
-                bucket.insert(0, line)
-            else:
-                miss(line)
-                if bucket:
-                    mru.discard(bucket[0])
-                mru.add(line)
-                bucket.insert(0, line)
-                if len(bucket) > ways:
-                    bucket.pop()
-        self.hits += hits
-        self.misses += len(missed)
-        return hits, missed
-
-    def access_range(self, first_line, n_lines):
-        """Batched :meth:`access` over ``n_lines`` consecutive lines.
-
-        Returns ``(hits, missed)`` like :meth:`access_lines`.
-        """
-        return self.access_lines(range(first_line, first_line + n_lines))
-
-    def miss_count(self, lines):
-        """Batched :meth:`access` returning only the number of misses.
-
-        Same state transitions and counters as :meth:`access_lines`,
-        minus the ``missed`` list.  Used where the caller only prices
-        the misses and never forwards them to another level (the trace
-        cache: a fetch miss costs decode cycles, it does not probe L2).
-
-        The all-MRU shortcut: if every requested line is currently the
-        MRU of its set, the whole walk is hits with zero state change
-        (no LRU moves, no fills), so one C-speed ``issuperset`` replaces
-        the per-line loop.  This is the common case for a warm trace
-        cache fetching the same handful of kernel functions.
-        """
-        if not hasattr(lines, "__len__"):
-            # One-shot iterables (generators) would be consumed by the
-            # issuperset probe, leaving len()/the fallback loop an empty
-            # sequence; materialize so every path sees all lines.
-            lines = list(lines)
-        mru = self._mru
-        if mru.issuperset(lines):
-            n = len(lines)
-            self.hits += n
-            return 0
-        sets = self._sets
-        mask = self._mask
-        ways = self._ways
-        mru_discard = mru.discard
-        mru_add = mru.add
-        hits = 0
-        misses = 0
-        for line in lines:
-            bucket = sets[line & mask]
-            if bucket and bucket[0] == line:
-                hits += 1  # already MRU: the LRU move is a no-op
-                continue
-            # index-first: in the warm trace cache, non-MRU *hits*
-            # dominate this loop, and one scan beats membership + index.
-            try:
-                pos = bucket.index(line)
-            except ValueError:
-                misses += 1
-                if bucket:
-                    mru_discard(bucket[0])
-                mru_add(line)
-                bucket.insert(0, line)
-                if len(bucket) > ways:
-                    bucket.pop()
-                continue
-            hits += 1
-            mru_discard(bucket[0])
-            mru_add(line)
-            del bucket[pos]
-            bucket.insert(0, line)
-        self.hits += hits
-        self.misses += misses
-        return misses
-
     def probe(self, line):
         """Non-destructive lookup: ``True`` if ``line`` is resident."""
         return line in self._sets[line & self._mask]
-
-    def fill(self, line):
-        """Insert ``line`` as MRU without counting a hit or miss."""
-        bucket = self._sets[line & self._mask]
-        if line in bucket:
-            return
-        if bucket:
-            self._mru.discard(bucket[0])
-        self._mru.add(line)
-        bucket.insert(0, line)
-        if len(bucket) > self._ways:
-            bucket.pop()
-
-    def invalidate(self, line):
-        """Drop ``line`` if resident (coherence invalidation / DMA)."""
-        bucket = self._sets[line & self._mask]
-        # Membership test first: the common case is "not resident", and
-        # a raised-and-caught ValueError costs far more than one scan.
-        if line in bucket:
-            if bucket[0] == line:
-                self._mru.discard(line)
-                bucket.remove(line)
-                if bucket:
-                    self._mru.add(bucket[0])
-            else:
-                bucket.remove(line)
-
-    def flush(self):
-        """Empty the cache (used by tests and warm-up control)."""
-        for bucket in self._sets:
-            del bucket[:]
-        self._mru.clear()
 
     def resident_lines(self):
         """All resident line numbers (introspection; not a hot path)."""
@@ -290,11 +144,6 @@ class TraceCache:
     def probe(self, line):
         """Non-destructive lookup: ``True`` if ``line`` is resident."""
         return line in self._sets[line & self._mask]
-
-    def flush(self):
-        """Empty the cache (used by tests and warm-up control)."""
-        for bucket in self._sets:
-            bucket.clear()
 
     def resident_lines(self):
         """All resident line numbers (introspection; not a hot path)."""

@@ -174,9 +174,9 @@ class Cpu(CpuBase):
         #: path pays a single attribute load + unpack instead of ~20
         #: attribute lookups per call.  Safe to freeze here: the
         #: caches' ``_sets`` lists, the directory dict and the cost
-        #: constants are never reassigned after construction (``flush``
-        #: and friends mutate in place), and ``domain`` is final once
-        #: the ``share_with`` wiring above ran.
+        #: constants are never reassigned after construction (every
+        #: transition mutates the set lists in place), and ``domain``
+        #: is final once the ``share_with`` wiring above ran.
         self._walk_ctx = (
             self.l1, self.l2, self.l3,
             self.l1._sets, self.l1._mask, self.l1._ways,
@@ -411,23 +411,32 @@ class Cpu(CpuBase):
         granularity.
 
         This loop and :meth:`_write_range` are fused forms of the
-        historical line-at-a-time walk: one Python loop drives all
-        three levels (and, for writes, the directory-exclusivity step),
-        operating directly on the caches' set lists instead of calling
-        ``access`` per line per level.  They are bit-identical to that walk -- an L1 hit never
-        touches L2; each level still sees its accesses in the same line
-        order; ``access`` fills on miss (so explicit back-fills were
-        no-ops); an already-MRU hit's LRU move is a no-op; directory
-        entries are per-line independent and ``read_miss`` /
-        ``make_exclusive`` never touch *this* domain's caches (so the
-        write-exclusivity step may run per line instead of after the
-        whole walk); and ``bus_delay`` only changes at machine ticks,
-        never mid-charge.
+        line-at-a-time walk that calls
+        :meth:`~repro.cpu.cache.SetAssocCache.access` per line per
+        level: one Python loop drives all three levels (and, for
+        writes, the directory-exclusivity step), operating directly on
+        the caches' set lists.  They are bit-identical to that walk --
+        an L1 hit never touches L2; each level still sees its accesses
+        in the same line order; ``access`` fills on miss (so explicit
+        back-fills are no-ops); an already-MRU hit's LRU move is a
+        no-op; directory entries are per-line independent and neither
+        the read-miss step nor ``make_exclusive`` touches *this*
+        domain's caches (so the write-exclusivity step may run per
+        line instead of after the whole walk); and ``bus_delay`` only
+        changes at machine ticks, never mid-charge.
+        ``tests/test_access_range_edges.py`` checks this equivalence
+        against a per-level ``access`` model after every charge.
+
+        The read-miss step (inlined at every LLC miss) is the MESI
+        directory's: a line owned dirty by another domain is a
+        cache-to-cache transfer that downgrades the owner to shared,
+        and the reader joins the sharer set (a never-seen line gets a
+        fresh shared entry).
 
         The cold-line fast path rests on a directory invariant: these
         loops are the only way data lines enter the private hierarchy,
-        every insertion sets this domain's sharer bit (``read_miss`` /
-        ``make_exclusive`` semantics, inlined), and the bit is only
+        every insertion sets this domain's sharer bit (the read-miss
+        step and ``make_exclusive`` both do), and the bit is only
         ever cleared together with an ``invalidate_line`` that empties
         all three levels.  The directory over-approximates presence, so
         *bit set* proves nothing -- but *bit clear* proves the line is
@@ -496,7 +505,7 @@ class Cpu(CpuBase):
                 entry = directory[line]
             except KeyError:
                 # Never-seen line: fill through all levels, created
-                # shared; inlined ``read_miss`` bookkeeping.
+                # shared (the read-miss step).
                 b2 = sets2[line & mask2]
                 b2.insert(0, line)
                 if len(b2) > ways2:
@@ -511,7 +520,7 @@ class Cpu(CpuBase):
                 continue
             if not entry[0] & mybit:
                 # Provably cold (sharer bit clear): fill straight through
-                # all levels; inlined ``read_miss`` bookkeeping.
+                # all levels, then the read-miss step.
                 b2 = sets2[line & mask2]
                 b2.insert(0, line)
                 if len(b2) > ways2:
@@ -557,7 +566,7 @@ class Cpu(CpuBase):
                     if len(b3) > ways3:
                         b3.pop()
                     llc_misses += 1
-                    # Inlined ``read_miss`` with our sharer bit known set.
+                    # The read-miss step, our sharer bit known set.
                     owner = entry[1]
                     if 0 <= owner != index:
                         memsys.c2c_transfers += 1
@@ -587,7 +596,7 @@ class Cpu(CpuBase):
         the historical separate directory pass is folded in (legal
         because ``make_exclusive`` never touches this domain's caches),
         and for a line the directory has never seen, the
-        ``read_miss`` + ``make_exclusive`` pair collapses to creating
+        read-miss step + ``make_exclusive`` pair collapses to creating
         the entry already exclusive.
         """
         (l1, l2, l3,
@@ -662,7 +671,7 @@ class Cpu(CpuBase):
                 continue
             if not entry[0] & mybit:
                 # Provably cold here (sharer bit clear): fill through;
-                # inlined ``read_miss``, then claim exclusivity.
+                # the read-miss step, then claim exclusivity.
                 b2 = sets2[line & mask2]
                 b2.insert(0, line)
                 if len(b2) > ways2:
@@ -709,7 +718,7 @@ class Cpu(CpuBase):
                     if len(b3) > ways3:
                         b3.pop()
                     llc_misses += 1
-                    # Inlined ``read_miss`` with our sharer bit known set.
+                    # The read-miss step, our sharer bit known set.
                     owner = entry[1]
                     if 0 <= owner != index:
                         memsys.c2c_transfers += 1
@@ -740,12 +749,10 @@ class Cpu(CpuBase):
     def invalidate_line(self, line):
         """Coherence invalidation from the directory or DMA.
 
-        Inlined over all three levels (this runs once per invalidated
-        line per domain on every receive DMA, so the three method
-        frames were measurable).  The data caches' ``_mru`` sets are
-        not maintained here: the fused walks bypass them anyway and
-        only the trace cache -- which coherence never touches --
-        consumes that machinery.
+        The one invalidation transition of the data caches, inlined
+        over all three levels' set lists (this runs once per
+        invalidated line per domain on every receive DMA).  The trace
+        cache holds instruction lines, which coherence never touches.
         """
         sets1, mask1, sets2, mask2, sets3, mask3 = self._inval_ctx
         bucket = sets1[line & mask1]

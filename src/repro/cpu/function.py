@@ -171,7 +171,3 @@ class FunctionTable:
 
     def __len__(self):
         return len(self._by_name)
-
-    def by_bin(self, bin):
-        """All specs in one functional bin."""
-        return [spec for spec in self._by_name.values() if spec.bin == bin]

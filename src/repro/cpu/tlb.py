@@ -88,10 +88,6 @@ class Tlb:
         self.walks += walks
         return walks
 
-    def flush(self):
-        """Drop all translations (context switch with address-space change)."""
-        del self._entries[:]
-
     def flush_below(self, boundary_page):
         """Drop translations for pages below ``boundary_page``.
 

@@ -86,13 +86,13 @@ def run_diagnosis(
     probe died carries a failed baseline.
 
     With a ``runner.journal`` (a :class:`repro.runstore.RunStore`),
-    every executed cell is journaled durably and each search's
-    :meth:`~repro.diagnose.saturation.SaturationSearch.state_dict` is
-    checkpointed after every lockstep wave.  An interrupted diagnosis
-    resumed against the same journal replays the already-executed
-    cells (never re-running them); since the probe schedule is a pure
-    function of cell results, the resumed run re-derives the same
-    waves and the final report is byte-identical.
+    every executed cell is journaled durably and the session counters
+    are checkpointed after every lockstep wave.  The searches
+    themselves are never persisted: an interrupted diagnosis resumed
+    against the same journal rebuilds each one by replaying the
+    already-executed cells (never re-running them), and since the
+    probe schedule is a pure function of cell results, the resumed run
+    re-derives the same waves and the final report is byte-identical.
     """
     runner = runner or SweepRunner(jobs=1)
     journal = runner.journal
@@ -132,10 +132,6 @@ def run_diagnosis(
         for (_, s), result in zip(live, results):
             s.observe(result)
         if journal is not None:
-            journal.record_wave(
-                wave,
-                {"%s/%s" % key: s.state_dict() for key, s in live},
-            )
             journal.checkpoint()
 
     # Phase 2: the (knob x direction x mode) perturbation grid, one

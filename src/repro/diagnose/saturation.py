@@ -20,7 +20,7 @@ many of them in lockstep waves so independent (direction, mode)
 searches bisect in parallel.
 """
 
-from repro.core.experiment import ExperimentConfig, ExperimentResult
+from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import SweepRunner
 
 #: Bisection steps after the ceiling probe: each halves the bracket,
@@ -121,46 +121,6 @@ class SaturationSearch:
         self._steps_done += 1
         if self._steps_done >= self.steps:
             self.phase = "done"
-
-    # -- checkpointing --------------------------------------------------
-
-    def state_dict(self):
-        """JSON-serializable snapshot of the search's mutable state.
-
-        Checkpointed to the run journal between lockstep waves so an
-        interrupted diagnosis can verify a resumed search re-derives
-        the same trajectory (the probe schedule is a pure function of
-        the replayed cell results)."""
-        return {
-            "phase": self.phase,
-            "failed": self.failed,
-            "closed_loop": (
-                None if self.closed_loop is None
-                else self.closed_loop.to_dict()
-            ),
-            "probes": list(self.probes),
-            "lo": self._lo,
-            "hi": self._hi,
-            "rate": self._rate,
-            "steps_done": self._steps_done,
-            "best": None if self._best is None else list(self._best),
-        }
-
-    def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot onto this search."""
-        self.phase = state["phase"]
-        self.failed = state["failed"]
-        self.closed_loop = (
-            None if state["closed_loop"] is None
-            else ExperimentResult.from_dict(state["closed_loop"])
-        )
-        self.probes = list(state["probes"])
-        self._lo = state["lo"]
-        self._hi = state["hi"]
-        self._rate = state["rate"]
-        self._steps_done = state["steps_done"]
-        best = state["best"]
-        self._best = None if best is None else tuple(best)
 
     # -- results --------------------------------------------------------
 

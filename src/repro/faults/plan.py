@@ -212,8 +212,11 @@ class FaultInjector:
         stack.fault_injector = self
         for nic in stack.nics:
             nic.faults = self
-            if nic.peer is not None and nic.peer.mode == "source":
-                nic.peer.enable_loss_recovery()
+        # Per connection, not per NIC: a shared multi-queue NIC's peer
+        # is a PeerMux fanning out to every connection's peer.
+        for conn in stack.connections:
+            if conn.peer.mode == "source":
+                conn.peer.enable_loss_recovery()
         self.machine.add_resettable(self)
         # Keep a short event-trace tail for invariant diagnostics.
         self.engine.enable_trace()
@@ -341,10 +344,6 @@ class FaultInjector:
             reorder_flushes=self.reorder_flushes,
             irq_delays=self.irq_delays,
         )
-
-    def held_frames(self):
-        """Frames currently held back by reorder faults (diagnostics)."""
-        return sum(len(v) for v in self._held.values())
 
     def reset_stats(self):
         self.drops = 0

@@ -960,6 +960,3 @@ class Machine:
             return min(1.0, self.cpus[cpu_index].busy_cycles / float(window))
         busy = sum(c.busy_cycles for c in self.cpus)
         return min(1.0, busy / float(window * self.n_cpus))
-
-    def softirq_name(self, index):
-        return SOFTIRQ_NAMES[index]

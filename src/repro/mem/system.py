@@ -122,34 +122,6 @@ class MemorySystem(Interconnect):
     # Coherence operations used by the CPU access path.
     # ------------------------------------------------------------------
 
-    def note_fill(self, line, domain):
-        """Record that ``domain`` now caches ``line`` (read share)."""
-        entry = self.directory.get(line)
-        if entry is None:
-            self.directory[line] = DirectoryEntry((1 << domain, -1))
-        else:
-            entry[SHARERS] |= 1 << domain
-
-    def read_miss(self, line, domain):
-        """Serve a last-level read miss; returns ``True`` for cache-to-cache.
-
-        A cache-to-cache transfer happens when another domain owns the
-        line dirty.  Ownership is downgraded (M -> S with writeback)
-        and the reader is added to the sharer set.
-        """
-        entry = self.directory.get(line)
-        c2c = False
-        if entry is None:
-            self.directory[line] = DirectoryEntry((1 << domain, -1))
-        else:
-            owner = entry[OWNER]
-            if owner >= 0 and owner != domain:
-                c2c = True
-                self.c2c_transfers += 1
-                entry[OWNER] = -1
-            entry[SHARERS] |= 1 << domain
-        return c2c
-
     def make_exclusive(self, line, domain):
         """Grant ``domain`` write ownership, invalidating other copies.
 

@@ -438,26 +438,29 @@ class Nic:
         self.frames_out += 1
         self.bytes_out += packet.len
         self.engine.schedule_at(
-            done, lambda: self._tx_complete(skb, packet),
+            done, lambda: self._tx_complete(skb, packet, skb),
             label="%s tx" % self.name,
         )
 
-    def _tx_complete(self, skb, packet):
-        # Transmit DMA reads header + payload from memory.
+    def _tx_complete(self, skb, packet, completion):
+        """One frame left the wire.  Transmit DMA reads its header +
+        payload from ``skb`` (the driver's clone, or for an LSO segment
+        the original send-queue skb: zero-copy under TOE).
+        ``completion`` is the skb the TX-completion interrupt hands
+        back: the clone itself, an LSO burst's descriptor chain on its
+        last segment, ``None`` on the burst's other segments."""
         if skb.len > 0:
             addr, size = skb.data.field(0, skb.HEADER_BYTES + skb.len)
         else:
             addr, size = skb.header_range()
         self.machine.memsys.dma_read(addr, size)
-        self._tx_completion(skb, packet)
+        if completion is not None:
+            # MSI-X pairing: the completion interrupts on the queue
+            # currently serving the flow.
+            rxq = self.rxq_for(packet.conn_id)
+            rxq.tx_done.append(completion)
+            rxq._signal()
         self._tx_deliver(packet)
-
-    def _tx_completion(self, skb, packet):
-        # MSI-X pairing: the completion interrupts on the queue
-        # currently serving the flow.
-        rxq = self.rxq_for(packet.conn_id)
-        rxq.tx_done.append(skb)
-        rxq._signal()
 
     def _tx_deliver(self, packet):
         if self.peer is None:
@@ -614,22 +617,10 @@ class Nic:
             self.engine.schedule_at(
                 done,
                 lambda s=skb, p=packet, c=completion:
-                    self._lso_tx_complete(s, p, c),
+                    self._tx_complete(s, p, c),
                 label="%s lso tx" % self.name,
             )
         self._tx_wire_free_at = start
-
-    def _lso_tx_complete(self, skb, packet, completion):
-        # Transmit DMA pulls this segment's payload from the original
-        # send-queue skb (zero-copy under TOE: the host never wrote it).
-        if skb.len > 0:
-            addr, size = skb.data.field(0, skb.HEADER_BYTES + skb.len)
-        else:
-            addr, size = skb.header_range()
-        self.machine.memsys.dma_read(addr, size)
-        if completion is not None:
-            self._tx_completion(completion, packet)
-        self._tx_deliver(packet)
 
     def reset_stats(self):
         self.frames_out = 0

@@ -187,9 +187,6 @@ class Sock:
             return self.send_queue[-1]
         return None
 
-    def unsent_count(self):
-        return len(self.send_queue) - self.send_head
-
     def window_allows(self, skb_len):
         return self.in_flight + skb_len <= self.snd_wnd
 

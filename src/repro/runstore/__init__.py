@@ -2,7 +2,7 @@
 
 Every long-running study allocates ``results/runs/<run_id>/`` with an
 atomic ``manifest.json``, an append-only checksummed
-``journal.jsonl`` of fsync'd per-cell/per-wave records, and a pidfile
+``journal.jsonl`` of fsync'd per-cell records, and a pidfile
 lock; a SQLite index (``index.sqlite``) makes cross-run queries one
 ``repro-affinity runs query`` instead of N journal replays.  See
 :mod:`repro.runstore.store` for the directory contract and

@@ -57,9 +57,7 @@ def cmd_runs_list(args):
     print("%-32s %-9s %-11s %7s  %s"
           % ("run", "command", "status", "cells", "created"))
     for run_id, manifest, status in rows:
-        n_cells, _waves, _records = journal_stats(
-            _run_dir(args.root, run_id)
-        )
+        n_cells = journal_stats(_run_dir(args.root, run_id))
         print("%-32s %-9s %-11s %7d  %s"
               % (run_id, manifest.get("command", "?"), status,
                  n_cells, manifest.get("created_iso", "?")))

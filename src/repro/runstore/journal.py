@@ -4,9 +4,9 @@ One line per record::
 
     <sha256(body)[:12]> <compact-json-body>\n
 
-The journal is the run's durable progress log: every completed sweep
-cell (full ``ExperimentResult`` payload) and every diagnosis bisection
-wave appends one fsync'd record.  Crash safety rests on three rules:
+The journal is the run's durable progress log: every completed study
+cell appends one fsync'd record holding its full ``ExperimentResult``
+payload.  Crash safety rests on three rules:
 
 * **Append-only.**  Records are never rewritten; resuming a run means
   replaying the journal, not editing it.
@@ -74,7 +74,6 @@ class RunJournal:
         self._fh = None
         self.records = []
         self.cells = {}  # cache key -> cell record
-        self.waves = {}  # wave number -> wave record
         self.truncated_bytes = 0
         self.degraded = False
         self._warned = False
@@ -111,7 +110,6 @@ class RunJournal:
         good record and sets :attr:`truncated_bytes` past it."""
         self.records = []
         self.cells = {}
-        self.waves = {}
         good = 0
         try:
             fh = open(self.path, "rb")
@@ -133,12 +131,12 @@ class RunJournal:
         return good
 
     def _ingest(self, record):
+        # Cells are the only records read back.  Older journals also
+        # hold diagnosis ``wave`` checkpoints: they stay in ``records``
+        # and are otherwise ignored.
         self.records.append(record)
-        kind = record.get("type")
-        if kind == "cell":
+        if record.get("type") == "cell":
             self.cells[record["key"]] = record
-        elif kind == "wave":
-            self.waves[record["wave"]] = record
 
     # -- appending ------------------------------------------------------
 

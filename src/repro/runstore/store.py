@@ -5,7 +5,7 @@ Every long-running study (``repro-affinity sweep/scale/diagnose``,
 
     results/runs/<run_id>/
         manifest.json    command, args, git sha, status, sessions
-        journal.jsonl    append-only fsync'd per-cell/per-wave records
+        journal.jsonl    append-only fsync'd per-cell records
         lock.pid         pidfile of the live orchestrator
         report.txt       final rendered report (and study-specific
         ...              artifacts such as diagnosis.json)
@@ -102,11 +102,13 @@ class RunStore:
     :meth:`resume` (existing directory; reclaims a stale lock and
     recovers the journal tail).  The store doubles as the *journal*
     argument of :class:`repro.core.parallel.SweepRunner` via
-    :meth:`lookup_cell` / :meth:`record_cell` (and, for
-    :func:`repro.diagnose.run_diagnosis`, :meth:`record_wave` /
-    :meth:`checkpoint`); the ``executed`` /
+    :meth:`lookup_cell` / :meth:`record_cell`; the ``executed`` /
     ``replayed`` counters land in the manifest's per-session records
-    (the crash/resume tests assert on them).
+    (the crash/resume tests assert on them), persisted at
+    :meth:`checkpoint` (which :func:`repro.diagnose.run_diagnosis`
+    calls between bisection waves) and :meth:`finalize`.  Cells are
+    the only records it writes; a resumed study rebuilds any other
+    state by replaying them.
     """
 
     def __init__(self, directory, manifest, journal, lock):
@@ -254,20 +256,6 @@ class RunStore:
             "payload": result.to_dict(),
         })
 
-    def record_wave(self, wave, states):
-        """Checkpoint one diagnosis bisection wave (search states).
-
-        Idempotent per wave number: a resumed diagnosis replays its
-        waves deterministically, and re-journaling an identical wave
-        record would only bloat the journal."""
-        if wave in self.journal.waves:
-            return
-        self.journal.append({
-            "type": "wave",
-            "wave": wave,
-            "states": states,
-        })
-
     # -- artifacts and manifest -----------------------------------------
 
     def artifact_path(self, name):
@@ -361,10 +349,9 @@ def list_runs(root=None):
 
 
 def journal_stats(directory):
-    """Cheap journal summary for ``runs list``/``show`` without
-    holding payloads: ``(n_cells, n_waves, n_records)``."""
+    """Journal summary for ``runs list``: the number of cells."""
     journal = RunJournal.load(os.path.join(directory, JOURNAL_NAME))
-    return len(journal.cells), len(journal.waves), len(journal.records)
+    return len(journal.cells)
 
 
 def summarize_manifest(manifest):
@@ -381,11 +368,6 @@ def summarize_manifest(manifest):
 def render_show(store):
     """Human-readable ``runs show`` text for a read-only store."""
     manifest = store.manifest
-    n_cells, n_waves, n_records = (
-        len(store.journal.cells),
-        len(store.journal.waves),
-        len(store.journal.records),
-    )
     executed, replayed = summarize_manifest(manifest)
     lines = [
         "run %s" % manifest.get("run_id"),
@@ -393,8 +375,8 @@ def render_show(store):
         "  status:   %s" % effective_status(store.directory, manifest),
         "  created:  %s" % manifest.get("created_iso"),
         "  git sha:  %s" % (manifest.get("git_sha") or "unknown"),
-        "  journal:  %d cell(s), %d wave(s), %d record(s)"
-        % (n_cells, n_waves, n_records),
+        "  journal:  %d cell(s), %d record(s)"
+        % (len(store.journal.cells), len(store.journal.records)),
         "  sessions: %d (executed %d, replayed %d)"
         % (len(manifest.get("sessions", [])), executed, replayed),
         "  args:     %s" % json.dumps(

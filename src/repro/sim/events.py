@@ -2,8 +2,9 @@
 
 The engine maintains a priority queue of :class:`Event` objects ordered
 by simulated time (in CPU cycles).  Components schedule callbacks; the
-engine repeatedly pops the earliest event and runs it.  Ties are broken
-by insertion order, which keeps runs deterministic.
+engine repeatedly pops the earliest same-timestamp *epoch* and runs its
+events.  Ties are broken by insertion order, which keeps runs
+deterministic.
 
 The queue is a *calendar* structure: a binary heap of the distinct
 timestamps currently scheduled, plus a FIFO bucket of events per
@@ -11,8 +12,8 @@ timestamp.  Network simulations schedule bursts of same-cycle events
 (IRQ fan-out, softirq drains, DMA completions), and with a plain event
 heap every member of such a run pays an O(log n) sift on push and pop.
 Here the heap only sees each *timestamp* once, same-time events append
-and pop in O(1), and the engine drains a whole same-timestamp *epoch*
-as one batch (:meth:`EventQueue.pop_epoch`) without touching the heap
+in O(1), and :meth:`EventQueue.pop_epoch` -- the queue's only pop --
+hands the engine a whole epoch as one batch without touching the heap
 between events.
 
 Events may be cancelled; cancellation is lazy (the stored entry stays
@@ -22,7 +23,6 @@ debris never dominates live entries.
 """
 
 import heapq
-import itertools
 
 
 class Event:
@@ -30,14 +30,13 @@ class Event:
 
     Instances are handed back by :meth:`EventQueue.schedule` so callers
     can cancel them later.  ``time`` is the simulated cycle at which the
-    callback fires; ``order`` is the deterministic tie-breaker.
+    callback fires.
     """
 
-    __slots__ = ("time", "order", "callback", "cancelled", "label", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "label", "_queue")
 
-    def __init__(self, time, order, callback, label=""):
+    def __init__(self, time, callback, label=""):
         self.time = time
-        self.order = order
         self.callback = callback
         self.cancelled = False
         self.label = label
@@ -51,11 +50,6 @@ class Event:
         if self._queue is not None:
             self._queue._note_cancelled()
 
-    def __lt__(self, other):
-        if self.time != other.time:
-            return self.time < other.time
-        return self.order < other.order
-
     def __repr__(self):
         state = " cancelled" if self.cancelled else ""
         return "Event(t=%d, %s%s)" % (self.time, self.label or self.callback, state)
@@ -65,12 +59,11 @@ class EventQueue:
     """A deterministic calendar queue of :class:`Event` objects.
 
     State is a heap of distinct timestamps (``_times``) and a dict
-    mapping each timestamp to ``[pop_index, [events...]]`` (``_buckets``).
-    Events within a bucket are stored in schedule order, which *is*
-    ``order`` ascending, so popping bucket-FIFO from the earliest
-    timestamp reproduces exactly the ``(time, order)`` ordering of the
-    old tuple heap.  ``pop_index`` marks how far the bucket has been
-    consumed; consumed prefixes are trimmed opportunistically.
+    mapping each timestamp to ``[skip_index, [events...]]``
+    (``_buckets``).  Events within a bucket are stored in schedule
+    order, so draining the earliest timestamp's bucket front to back
+    fires events in (time, insertion) order.  ``skip_index`` counts
+    the cancelled events already stepped over at the bucket's front.
     """
 
     #: Compact only past this stored size (small queues aren't worth it).
@@ -79,7 +72,6 @@ class EventQueue:
     def __init__(self):
         self._times = []
         self._buckets = {}
-        self._counter = itertools.count()
         self._live = 0
         #: Cancelled events still physically stored in some bucket.
         self._debris = 0
@@ -99,8 +91,7 @@ class EventQueue:
         """Schedule ``callback`` to run at simulated cycle ``time``."""
         if time < 0:
             raise ValueError("cannot schedule an event at negative time %r" % time)
-        order = next(self._counter)
-        event = Event(time, order, callback, label)
+        event = Event(time, callback, label)
         event._queue = self
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -136,63 +127,16 @@ class EventQueue:
         heapq.heapify(self._times)
         self._debris = 0
 
-    def pop(self):
-        """Pop and return the earliest live event, or ``None`` when drained."""
-        return self.pop_due(None)
-
-    def pop_due(self, until):
-        """Pop the earliest live event firing at or before ``until``.
-
-        ``until=None`` means no deadline.  Returns ``None`` when the
-        queue is drained *or* the earliest live event is past the
-        deadline (it stays queued); disambiguate with
-        :meth:`peek_time`.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            idx, events = bucket
-            n = len(events)
-            while idx < n and events[idx].cancelled:
-                idx += 1
-                self._debris -= 1
-            if idx >= n:
-                heapq.heappop(times)
-                del buckets[t]
-                continue
-            if until is not None and t > until:
-                bucket[0] = idx
-                return None
-            event = events[idx]
-            idx += 1
-            if idx >= n:
-                heapq.heappop(times)
-                del buckets[t]
-            elif idx >= 512 and idx * 2 >= n:
-                # Trim the consumed prefix so a long-lived bucket does
-                # not pin every event it ever held.
-                del events[:idx]
-                bucket[0] = 0
-            else:
-                bucket[0] = idx
-            event._queue = None
-            self._live -= 1
-            return event
-        return None
-
     def pop_epoch(self, until=None):
         """Pop *all* live events at the earliest scheduled timestamp.
 
-        Returns the batch as a list in deterministic ``order`` sequence,
-        or ``None`` when the queue is drained or the earliest live event
-        fires strictly after ``until``.  Events scheduled *at the same
-        timestamp* while the batch executes land in a fresh bucket and
-        are returned by the next ``pop_epoch`` call, preserving exact
-        ``(time, order)`` semantics.  This is the engine's run-loop fast
-        path: one heap pop per distinct timestamp, however many events
-        share it.
+        Returns the batch as a list in schedule order, or ``None`` when
+        the queue is drained or the earliest live event fires strictly
+        after ``until`` (``None``: no deadline).  Events scheduled *at
+        the same timestamp* while the batch executes land in a fresh
+        bucket and are returned by the next ``pop_epoch`` call, after
+        every member of this batch.  One heap pop per distinct
+        timestamp, however many events share it.
         """
         times = self._times
         buckets = self._buckets
@@ -225,50 +169,6 @@ class EventQueue:
             return batch
         return None
 
-    def restore(self, events):
-        """Put back the unfired tail of a popped epoch batch.
-
-        Used when the run loop exits mid-batch (``stop()`` or the
-        ``max_events`` budget): the remaining events re-enter the queue
-        ahead of anything scheduled at the same timestamp since the
-        batch was popped (their ``order`` values are smaller, so this
-        preserves deterministic ordering).
-        """
-        live = [ev for ev in events if not ev.cancelled]
-        if not live:
-            return
-        t = live[0].time
-        for ev in live:
-            ev._queue = self
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            self._buckets[t] = [0, live]
-            heapq.heappush(self._times, t)
-        else:
-            idx = bucket[0]
-            bucket[1][idx:idx] = live
-        self._live += len(live)
-
-    def peek_time(self):
-        """Return the time of the earliest live event without popping it."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            idx, events = bucket
-            n = len(events)
-            while idx < n and events[idx].cancelled:
-                idx += 1
-                self._debris -= 1
-            if idx >= n:
-                heapq.heappop(times)
-                del buckets[t]
-                continue
-            bucket[0] = idx
-            return t
-        return None
-
 
 class SimulationEngine:
     """Drives the event queue and owns the global simulated clock.
@@ -282,7 +182,6 @@ class SimulationEngine:
     def __init__(self):
         self.queue = EventQueue()
         self.now = 0
-        self._stopped = False
         self.events_fired = 0
         #: Events popped with a timestamp behind the clock.  Must stay
         #: zero; checked by the post-run InvariantChecker.
@@ -317,50 +216,25 @@ class SimulationEngine:
             raise ValueError("negative delay %r" % delay)
         return self.queue.schedule(self.now + delay, callback, label)
 
-    def stop(self):
-        """Request the run loop to exit after the current event."""
-        self._stopped = True
+    def run(self, until=None):
+        """Run events in time order, one same-timestamp epoch at a time.
 
-    def run(self, until=None, max_events=None):
-        """Run events in time order.
-
-        Parameters
-        ----------
-        until:
-            Stop once the next event would fire strictly after this
-            cycle (the event is left in the queue).  The clock always
-            advances to ``until`` on a horizon exit — including when the
-            queue drained completely, so ``run_for`` windows measure the
-            same wall regardless of queue occupancy.  Exits via
-            :meth:`stop` or the event budget leave the clock at the last
-            fired event.
-        max_events:
-            Safety valve against runaway simulations.  Unfired events of
-            a partially-drained epoch are restored to the queue.
+        Stops once the next event would fire strictly after ``until``
+        (the event stays queued) and advances the clock to ``until`` --
+        also when the queue drained, so ``run_for`` windows measure the
+        same span regardless of queue occupancy.  ``until=None`` runs
+        until the queue drains.
 
         Returns the number of events fired during this call.
         """
         fired = 0
-        self._stopped = False
         queue = self.queue
-        while not self._stopped and (max_events is None or fired < max_events):
+        while True:
             batch = queue.pop_epoch(until)
             if batch is None:
-                if until is not None and until > self.now:
-                    self.now = until
                 break
-            i = 0
-            n = len(batch)
-            interrupted = False
-            while i < n:
-                if self._stopped or (
-                    max_events is not None and fired >= max_events
-                ):
-                    queue.restore(batch[i:])
-                    interrupted = True
-                    break
-                event = batch[i]
-                i += 1
+            for event in batch:
+                # A callback earlier in the epoch may cancel a member.
                 if event.cancelled:
                     continue
                 time = event.time
@@ -371,7 +245,7 @@ class SimulationEngine:
                     self._trace.append((time, event.label))
                 event.callback()
                 fired += 1
-            if interrupted:
-                break
+        if until is not None and until > self.now:
+            self.now = until
         self.events_fired += fired
         return fired

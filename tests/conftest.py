@@ -5,12 +5,19 @@ import tempfile
 
 import pytest
 
-# Studies journal into the run store by default; point it at a
-# throwaway directory so CLI tests never litter results/runs/ in the
-# working tree.  setdefault keeps an explicit REPRO_RUNS_DIR (e.g. a
+# Studies journal into the run store and cache their cells by default;
+# point both into one throwaway directory, removed when the session's
+# interpreter exits, so CLI tests never litter results/runs/ or
+# .repro-results/ in the working tree, and never replay a cell a
+# previous test session cached instead of simulating it.  setdefault
+# keeps an explicit REPRO_RUNS_DIR / REPRO_RESULTS_DIR (e.g. a
 # subprocess crash/resume test's) authoritative.
+_SESSION_DIR = tempfile.TemporaryDirectory(prefix="repro-tests-")
 os.environ.setdefault(
-    "REPRO_RUNS_DIR", tempfile.mkdtemp(prefix="repro-runs-")
+    "REPRO_RUNS_DIR", os.path.join(_SESSION_DIR.name, "runs")
+)
+os.environ.setdefault(
+    "REPRO_RESULTS_DIR", os.path.join(_SESSION_DIR.name, "results")
 )
 
 from repro.cpu.core import Cpu

@@ -1,22 +1,26 @@
 """Edge cases and equivalence proofs for the batched access paths.
 
-The hot-path optimizations replaced per-line / per-page loops with
-batched walks and alternative representations (``access_lines``,
-``miss_count``, ``Tlb.access_range``, the dict-backed ``TraceCache``).
-Every one of them claims *exact* behavioural equivalence with N calls
-to the single-element primitive; these tests check that claim on
-randomized traces and on the corners where batched arithmetic likes
-to go wrong (set wrap-around, single-byte ranges, zero-instruction
-fetches).
+The hot path replaces per-line / per-page loops with batched walks and
+alternative representations: the CPU's fused three-level data walk
+(``Cpu._read_range`` / ``_write_range``), ``Tlb.access_range`` and the
+dict-backed ``TraceCache.miss_count``.  Every one of them claims
+*exact* behavioural equivalence with N calls to a single-element
+primitive (``SetAssocCache.access``, ``Tlb.access``); these tests check
+that claim on seeded random traces and on the corners where batched
+arithmetic likes to go wrong (set wrap-around, single-byte ranges,
+zero-instruction fetches).
 """
 
 import random
 
 from repro.cpu.cache import SetAssocCache, TraceCache
-from repro.cpu.function import FunctionSpec
+from repro.cpu.core import Cpu
+from repro.cpu.function import FunctionSpec, FunctionTable
 from repro.cpu.params import CacheGeometry, TlbGeometry
 from repro.cpu.tlb import Tlb
-from repro.mem.layout import CACHE_LINE, line_span, lines_for
+from repro.mem.layout import CACHE_LINE, AddressSpace, line_span, lines_for
+from repro.mem.system import MemorySystem
+from repro.prof.accounting import ExactAccounting
 
 
 def make_cache(size=1024, ways=4):
@@ -37,63 +41,132 @@ def trace_cache_state(cache):
     return [list(reversed(bucket)) for bucket in cache._sets]
 
 
-class TestBatchedEquivalence:
-    def _random_trace(self, seed, n, line_universe):
-        rng = random.Random(seed)
-        trace = []
-        while len(trace) < n:
-            if rng.random() < 0.5:
-                # A contiguous range, like a copy loop.
-                start = rng.randrange(line_universe)
-                length = rng.randint(1, 24)
-                trace.append(list(range(start, start + length)))
-            else:
-                # Scattered singles, like pointer chasing.
-                trace.append([rng.randrange(line_universe)])
-        return trace
+def random_trace(seed, n, line_universe):
+    rng = random.Random(seed)
+    trace = []
+    while len(trace) < n:
+        if rng.random() < 0.5:
+            # A contiguous range, like a copy loop.
+            start = rng.randrange(line_universe)
+            length = rng.randint(1, 24)
+            trace.append(list(range(start, start + length)))
+        else:
+            # Scattered singles, like pointer chasing.
+            trace.append([rng.randrange(line_universe)])
+    return trace
 
-    def test_access_lines_equals_n_accesses(self):
-        for seed in range(5):
-            ref = make_cache()
-            bat = make_cache()
-            for lines in self._random_trace(seed, 40, 256):
-                ref_hits = sum(ref.access(line) for line in lines)
-                hits, missed = bat.access_lines(lines)
-                assert hits == ref_hits
-                assert len(missed) == len(lines) - hits
-                assert cache_state(bat) == cache_state(ref)
-            assert (bat.hits, bat.misses) == (ref.hits, ref.misses)
+
+def make_cpus(params, costs, n_cpus=2):
+    """``n_cpus`` reference CPUs sharing one memory system, plus a
+    branch-free function to charge (the conftest ``rig`` layout)."""
+    memsys = MemorySystem()
+    accounting = ExactAccounting()
+    cpus = [Cpu(i, params, costs, memsys, accounting) for i in range(n_cpus)]
+    fn = FunctionTable(AddressSpace()).register("walk_fn", "engine",
+                                                branch_frac=0.0)
+    return cpus, fn
+
+
+class LevelModel:
+    """The line-at-a-time statement of the data hierarchy: one
+    :class:`SetAssocCache` per level per CPU, driven through
+    ``access`` -- L2 only on an L1 miss, L3 only on an L2 miss -- and a
+    write drops the line from every level of every other CPU (the
+    MESI invalidation ``make_exclusive`` sends)."""
+
+    def __init__(self, params, n_cpus):
+        self.levels = [
+            (SetAssocCache(params.l1), SetAssocCache(params.l2),
+             SetAssocCache(params.l3))
+            for _ in range(n_cpus)
+        ]
+
+    def touch(self, index, addr, size, write):
+        l1, l2, l3 = self.levels[index]
+        for line in line_span(addr, size):
+            if not l1.access(line) and not l2.access(line):
+                l3.access(line)
+            if write:
+                for other, caches in enumerate(self.levels):
+                    if other == index:
+                        continue
+                    for cache in caches:
+                        bucket = cache._sets[line & cache._mask]
+                        if line in bucket:
+                            bucket.remove(line)
+
+    def mismatch(self, cpus):
+        """The first (cpu, level) whose sets or counters differ."""
+        for cpu, caches in zip(cpus, self.levels):
+            for name, real, ref in zip(("l1", "l2", "l3"),
+                                       (cpu.l1, cpu.l2, cpu.l3), caches):
+                if (cache_state(real) != cache_state(ref)
+                        or (real.hits, real.misses)
+                        != (ref.hits, ref.misses)):
+                    return "CPU%d %s" % (cpu.index, name)
+        return None
+
+
+class TestBatchedEquivalence:
+    def test_access_lines_equals_n_accesses(self, tiny_params, costs):
+        """The fused data walk over random read and write ranges on two
+        CPUs equals per-line, per-level ``access`` calls plus the
+        write invalidations, compared after every charge."""
+        span = 512 * CACHE_LINE  # 8x the L3: every level evicts
+        sizes = (1, 8, 64, 100, 256, 1000, 2048, 4096)
+        for seed in range(6):
+            rng = random.Random(seed)
+            cpus, fn = make_cpus(tiny_params, costs)
+            model = LevelModel(tiny_params, len(cpus))
+            for step in range(300):
+                index = rng.randrange(len(cpus))
+                reads = [(rng.randrange(span), rng.choice(sizes))
+                         for _ in range(rng.randint(0, 2))]
+                writes = [(rng.randrange(span), rng.choice(sizes))
+                          for _ in range(rng.randint(0, 2))]
+                if rng.random() < 0.3 and reads:
+                    # Re-touch a range just read: MRU and non-MRU hits.
+                    writes.append(reads[0])
+                cpus[index].charge(fn, 10, reads=reads, writes=writes)
+                for addr, size in reads:
+                    model.touch(index, addr, size, write=False)
+                for addr, size in writes:
+                    model.touch(index, addr, size, write=True)
+                where = model.mismatch(cpus)
+                assert where is None, (
+                    "seed %d step %d: %s diverged" % (seed, step, where)
+                )
 
     def test_miss_count_equals_n_accesses(self):
+        # The trace cache's batched fetch against per-line ``access``.
+        geometry = CacheGeometry(1024, 4, line=64, name="TC")
         for seed in range(5):
-            ref = make_cache()
-            bat = make_cache()
-            for lines in self._random_trace(seed + 100, 40, 256):
+            ref = SetAssocCache(geometry)
+            bat = TraceCache(geometry)
+            for lines in random_trace(seed + 100, 40, 256):
                 ref_misses = sum(not ref.access(line) for line in lines)
                 assert bat.miss_count(lines) == ref_misses
-                assert cache_state(bat) == cache_state(ref)
+                assert trace_cache_state(bat) == cache_state(ref)
             assert (bat.hits, bat.misses) == (ref.hits, ref.misses)
 
     def test_miss_count_generator_equals_n_accesses(self):
-        # Regression: the all-MRU shortcut probed ``mru.issuperset(lines)``
-        # first, which *consumed* one-shot iterables -- len() then blew
-        # up on the all-MRU path and the fallback loop saw an empty
-        # sequence (0 misses, no state change) everywhere else.
+        # One-shot iterables must be walked exactly once, line by line.
+        geometry = CacheGeometry(1024, 4, line=64, name="TC")
         for seed in range(5):
-            ref = make_cache()
-            bat = make_cache()
-            for lines in self._random_trace(seed + 300, 40, 256):
+            ref = SetAssocCache(geometry)
+            bat = TraceCache(geometry)
+            for lines in random_trace(seed + 300, 40, 256):
                 ref_misses = sum(not ref.access(line) for line in lines)
                 gen = (line for line in lines)
                 assert bat.miss_count(gen) == ref_misses
-                assert cache_state(bat) == cache_state(ref)
+                assert trace_cache_state(bat) == cache_state(ref)
             assert (bat.hits, bat.misses) == (ref.hits, ref.misses)
 
     def test_miss_count_generator_on_all_mru_walk(self):
-        # The generator must also survive the shortcut itself: warm the
-        # lines to MRU, then re-fetch them through a generator.
-        ref = make_cache()
-        bat = make_cache()
+        # Warm the lines to MRU, then re-fetch them through a generator.
+        geometry = CacheGeometry(1024, 4, line=64, name="TC")
+        ref = SetAssocCache(geometry)
+        bat = TraceCache(geometry)
         warm = [3, 7, 11]
         ref_first = sum(not ref.access(line) for line in warm)
         assert bat.miss_count(line for line in warm) == ref_first
@@ -101,25 +174,20 @@ class TestBatchedEquivalence:
         assert ref_again == 0
         assert bat.miss_count(line for line in warm) == 0
         assert (bat.hits, bat.misses) == (ref.hits, ref.misses)
-        assert cache_state(bat) == cache_state(ref)
+        assert trace_cache_state(bat) == cache_state(ref)
 
     def test_trace_cache_equals_set_assoc(self):
         geometry = CacheGeometry(2048, 8, line=64, name="TC")
         for seed in range(5):
             ref = SetAssocCache(geometry)
             alt = TraceCache(geometry)
-            for lines in self._random_trace(seed + 200, 60, 512):
-                assert alt.miss_count(lines) == ref.miss_count(lines)
+            for lines in random_trace(seed + 200, 60, 512):
+                ref_misses = sum(not ref.access(line) for line in lines)
+                assert alt.miss_count(lines) == ref_misses
                 assert trace_cache_state(alt) == cache_state(ref)
             assert (alt.hits, alt.misses) == (ref.hits, ref.misses)
             assert sorted(alt.resident_lines()) == sorted(ref.resident_lines())
             assert alt.occupancy() == ref.occupancy()
-
-    def test_access_range_is_access_lines_on_a_range(self):
-        a = make_cache()
-        b = make_cache()
-        assert a.access_range(7, 9) == b.access_lines(list(range(7, 16)))
-        assert cache_state(a) == cache_state(b)
 
     def test_tlb_access_range_equals_n_accesses(self):
         geometry = TlbGeometry(8, name="T")
@@ -141,23 +209,25 @@ class TestBatchedEquivalence:
 
 
 class TestSetWraparound:
-    def test_range_wider_than_the_cache_wraps_sets(self):
-        # 4 sets x 4 ways = 16 lines capacity; a 16-line contiguous
-        # range lands 4 lines in every set, exactly filling the cache.
-        c = make_cache(size=1024, ways=4)
-        hits, missed = c.access_range(0, 16)
-        assert hits == 0 and len(missed) == 16
-        assert c.occupancy() == 1.0
+    def test_range_wider_than_the_cache_wraps_sets(self, tiny_params,
+                                                    costs):
+        # The tiny L1 is 4 sets x 4 ways = 16 lines; a 16-line read
+        # lands 4 lines in every set, exactly filling it.
+        (cpu,), fn = make_cpus(tiny_params, costs, n_cpus=1)
+        cpu.charge(fn, 10, reads=[(0, 16 * CACHE_LINE)])
+        assert (cpu.l1.hits, cpu.l1.misses) == (0, 16)
+        assert cpu.l1.occupancy() == 1.0
         # The next 16 lines wrap around the index space and evict
         # everything, set by set, LRU first.
-        hits, missed = c.access_range(16, 16)
-        assert hits == 0 and len(missed) == 16
-        assert sorted(c.resident_lines()) == list(range(16, 32))
+        cpu.charge(fn, 10, reads=[(16 * CACHE_LINE, 16 * CACHE_LINE)])
+        assert (cpu.l1.hits, cpu.l1.misses) == (0, 32)
+        assert sorted(cpu.l1.resident_lines()) == list(range(16, 32))
 
     def test_wraparound_preserves_lru_order_per_set(self):
         c = make_cache(size=1024, ways=4)  # 4 sets
         # Lines 3, 7, 11, 15, 19 all map to set 3; 19 evicts 3.
-        c.access_lines([3, 7, 11, 15])
+        for line in (3, 7, 11, 15):
+            c.access(line)
         c.access(3)      # refresh: LRU is now 7
         c.access(19)     # wraps the index space (19 & 3 == 3), evicts 7
         assert c.probe(3) and not c.probe(7)

@@ -22,25 +22,17 @@ class TestBasics:
         assert c.probe(9) is False
         assert c.access(9) is False  # still a miss: probe did not allocate
 
-    def test_fill_inserts_silently(self):
-        c = make_cache()
-        c.fill(3)
-        assert c.access(3) is True
-        assert c.misses == 0
-
-    def test_invalidate(self):
-        c = make_cache()
-        c.access(7)
-        c.invalidate(7)
-        assert c.probe(7) is False
-        c.invalidate(7)  # idempotent
-
-    def test_flush(self):
-        c = make_cache()
-        for line in range(8):
-            c.access(line)
-        c.flush()
-        assert c.resident_lines() == []
+    def test_invalidate(self, rig):
+        # The data caches' one invalidation transition is the CPU's
+        # three-level ``invalidate_line``.
+        cpu = rig.cpus[0]
+        cpu.charge(rig.fn, 10, reads=[(7 * 64, 8)])
+        levels = (cpu.l1, cpu.l2, cpu.l3)
+        assert all(c.probe(7) for c in levels)
+        cpu.invalidate_line(7)
+        assert not any(c.probe(7) for c in levels)
+        cpu.invalidate_line(7)  # idempotent
+        assert not any(c.probe(7) for c in levels)
 
 
 class TestReplacement:

@@ -32,10 +32,15 @@ class TestTlb:
         assert tlb.access_range(100, 0) == 0
 
     def test_flush(self):
+        # A CR3 switch flushes user translations and keeps the kernel's
+        # global ones, in LRU order.
         tlb = Tlb(TlbGeometry(4, "T"))
-        tlb.access(1)
-        tlb.flush()
+        for page in (1, 100, 2, 101):
+            tlb.access(page)
+        tlb.flush_below(100)
+        assert tlb.resident_pages() == [101, 100]
         assert tlb.access(1) is False
+        assert tlb.access(100) is True
 
 
 class TestBranchPredictor:
@@ -81,9 +86,3 @@ class TestBranchPredictor:
     def test_rate_clamped_to_branch_count(self):
         bp = BranchPredictor()
         assert bp.predict("f", 5, 1.0) <= 5
-
-    def test_forget(self):
-        bp = BranchPredictor()
-        bp.predict("f", 10, 0.0)
-        bp.forget("f")
-        assert bp.warmth("f") == 0

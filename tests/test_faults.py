@@ -183,6 +183,18 @@ class TestRecoveryUnderFaults:
         assert faults["injected"]["drops"] > 0
         assert faults["retransmitted_segments"] + faults["peer_retransmits"] > 0
 
+    def test_lossy_multiqueue_receive_recovers(self):
+        # A shared multi-queue NIC's peer is a PeerMux fanning out to
+        # the connections' peers; the injector must reach those.
+        result = run_experiment(_cfg(
+            "loss=0.1,rto_ms=3", direction="rx", affinity="rss",
+            n_queues=2, n_cpus=2, n_connections=4,
+        ))
+        faults = _fault_data(result)
+        assert faults["injected"]["drops"] > 0
+        assert faults["peer_retransmits"] > 0
+        assert result.total_bytes > 0
+
     def test_lossy_run_is_deterministic(self):
         a = run_experiment(_cfg("loss=0.1,reorder=0.02,dup=0.02,rto_ms=3"))
         b = run_experiment(_cfg("loss=0.1,reorder=0.02,dup=0.02,rto_ms=3"))

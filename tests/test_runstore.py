@@ -74,12 +74,14 @@ class TestJournal:
         journal = RunJournal.open(path)
         journal.append({"type": "cell", "key": "k1", "label": "a",
                         "payload": {"x": 1}})
+        # A record of another type (an older journal's diagnosis wave
+        # checkpoint) round-trips too, and is not a cell.
         journal.append({"type": "wave", "wave": 1, "states": {}})
         journal.close()
         replayed = RunJournal.load(path)
         assert replayed.n_cells == 1
         assert replayed.cell_payload("k1") == {"x": 1}
-        assert 1 in replayed.waves
+        assert [r["type"] for r in replayed.records] == ["cell", "wave"]
         assert replayed.truncated_bytes == 0
 
     def test_decode_rejects_torn_and_garbled_lines(self):
@@ -306,13 +308,56 @@ class TestRunStore:
         assert manifest["status"] == "running"
         assert effective_status(directory, manifest) == "crashed"
 
-    def test_wave_records_idempotent(self, tmp_path):
-        store = RunStore.create("diagnose", root=str(tmp_path),
-                                run_id="w")
-        store.record_wave(1, {"rx/none": {"phase": "bisect"}})
-        store.record_wave(1, {"rx/none": {"phase": "different"}})
-        assert len(store.journal.records) == 1
-        store.finalize("completed")
+    def test_parent_wave_records_still_resume(self, tmp_path, capsys):
+        # Diagnosis journals written before the wave checkpoint was
+        # dropped hold a ``wave`` record after each bisection wave.
+        # They must still open, resume (replaying every journaled cell
+        # into a byte-identical report), index, list and show.
+        from repro.cli import main
+        from repro.diagnose import run_diagnosis
+
+        root = str(tmp_path)
+        params = dict(directions=("tx",), modes=("none",),
+                      knobs=("copy-engine",), steps=1,
+                      message_size=1024, n_connections=2, warmup_ms=1,
+                      measure_ms=2, seed=3)
+        fresh = RunStore.create("diagnose", root=root, run_id="fresh")
+        want = run_diagnosis(runner=SweepRunner(jobs=1, journal=fresh),
+                             **params)
+        fresh.finalize("completed")
+        cells = list(fresh.journal.records)
+        assert len(cells) == 3  # ceiling, one bisection probe, one knob
+
+        old = RunStore.create("diagnose", root=root, run_id="old")
+        for wave, record in enumerate(cells[:2], start=1):
+            old.journal.append(record)
+            old.journal.append({
+                "type": "wave",
+                "wave": wave,
+                "states": {"tx/none": {
+                    "phase": "bisect" if wave == 1 else "done",
+                    "closed_loop": cells[0]["payload"],
+                }},
+            })
+        old.finalize("interrupted")
+
+        resumed = RunStore.resume("old", root=root)
+        got = run_diagnosis(runner=SweepRunner(jobs=1, journal=resumed),
+                            **params)
+        assert json.dumps(got, sort_keys=True) == json.dumps(
+            want, sort_keys=True)
+        assert (resumed.replayed, resumed.executed) == (2, 1)
+        resumed.finalize("completed")
+        kinds = [r["type"] for r in RunJournal.load(
+            os.path.join(resumed.directory, "journal.jsonl")).records]
+        assert kinds == ["cell", "wave", "cell", "wave", "cell"]
+
+        assert rebuild_index(root) == (2, 6)
+        assert len(query_cells(root=root, mode="none")) == 6
+        assert main(["runs", "--root", root, "list"]) == 0
+        assert main(["runs", "--root", root, "show", "old"]) == 0
+        out = capsys.readouterr().out
+        assert "3 cell(s), 5 record(s)" in out
 
     def test_artifact_enospc_warns_and_continues(self, tmp_path,
                                                  monkeypatch):
@@ -431,21 +476,31 @@ class TestRunnerJournal:
 
 
 class TestSearchState:
-    def test_state_roundtrip(self):
-        result = _tiny_result()
+    def test_state_roundtrip(self, tmp_path):
+        # A search's state is never persisted: resume rebuilds it by
+        # replaying the journaled probe cells, and the rebuilt search
+        # must match the original and continue identically.
+        root = str(tmp_path)
+        store = RunStore.create("diagnose", root=root, run_id="s")
         search = SaturationSearch(_tiny_config(), steps=2)
-        search.observe(result)  # ceiling probe
-        search.next_config()
-        search.observe(result)  # first bisection probe
-        state = json.loads(json.dumps(search.state_dict()))
+        runner = SweepRunner(jobs=1, journal=store)
+        for _ in range(2):  # ceiling probe, first bisection probe
+            (result,) = runner.run([search.next_config()])
+            search.observe(result)
+        store.finalize("interrupted")
 
+        resumed = RunStore.resume("s", root=root)
         clone = SaturationSearch(_tiny_config(), steps=2)
-        clone.load_state(state)
-        assert clone.phase == search.phase
+        runner = SweepRunner(jobs=1, journal=resumed)
+        for _ in range(2):
+            (result,) = runner.run([clone.next_config()])
+            clone.observe(result)
+        assert (resumed.replayed, resumed.executed) == (2, 0)
+        resumed.finalize("completed")
+        assert clone.phase == search.phase == "bisect"
         assert clone.probes == search.probes
         assert clone._lo == search._lo and clone._hi == search._hi
-        assert clone.state_dict() == search.state_dict()
-        # The restored search continues identically.
+        assert clone.summary() == search.summary()
         assert (clone.next_config().to_dict()
                 == search.next_config().to_dict())
 

@@ -5,6 +5,16 @@ import pytest
 from repro.sim.events import EventQueue, SimulationEngine
 
 
+def drain(q):
+    """Every event ``q`` still holds, epoch by epoch, in pop order."""
+    popped = []
+    while True:
+        batch = q.pop_epoch()
+        if batch is None:
+            return popped
+        popped.extend(batch)
+
+
 class TestEventQueue:
     def test_pops_in_time_order(self):
         q = EventQueue()
@@ -12,10 +22,7 @@ class TestEventQueue:
         q.schedule(30, lambda: fired.append(30))
         q.schedule(10, lambda: fired.append(10))
         q.schedule(20, lambda: fired.append(20))
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
+        for ev in drain(q):
             ev.callback()
         assert fired == [10, 20, 30]
 
@@ -24,26 +31,19 @@ class TestEventQueue:
         fired = []
         for tag in ("a", "b", "c"):
             q.schedule(5, lambda t=tag: fired.append(t))
-        while q.pop() is not None:
-            pass
-        # Pop order is deterministic; verify by re-running with callbacks.
-        q2 = EventQueue()
-        for tag in ("a", "b", "c"):
-            q2.schedule(5, lambda t=tag: fired.append(t))
-        while True:
-            ev = q2.pop()
-            if ev is None:
-                break
+        q.schedule(4, lambda: fired.append("early"))
+        q.schedule(5, lambda: fired.append("d"))
+        for ev in drain(q):
             ev.callback()
-        assert fired == ["a", "b", "c"]
+        assert fired == ["early", "a", "b", "c", "d"]
 
     def test_cancelled_events_are_skipped(self):
         q = EventQueue()
         ev = q.schedule(10, lambda: None)
         q.schedule(20, lambda: None)
         ev.cancel()
-        assert q.pop().time == 20
-        assert q.pop() is None
+        assert [e.time for e in q.pop_epoch()] == [20]
+        assert q.pop_epoch() is None
 
     def test_len_ignores_cancelled(self):
         q = EventQueue()
@@ -53,12 +53,16 @@ class TestEventQueue:
         ev.cancel()
         assert len(q) == 1
 
-    def test_peek_time_skips_cancelled(self):
+    def test_pop_epoch_deadline_skips_cancelled_head(self):
+        # The deadline is checked against the earliest *live* event: a
+        # cancelled earlier timestamp neither fires nor stops the pop.
         q = EventQueue()
         ev = q.schedule(10, lambda: None)
-        q.schedule(25, lambda: None)
+        keep = q.schedule(25, lambda: None)
         ev.cancel()
-        assert q.peek_time() == 25
+        assert q.pop_epoch(until=20) is None
+        assert len(q) == 1
+        assert q.pop_epoch(until=25) == [keep]
 
     def test_negative_time_rejected(self):
         q = EventQueue()
@@ -80,10 +84,10 @@ class TestEventQueue:
         q = EventQueue()
         ev = q.schedule(1, lambda: None)
         q.schedule(2, lambda: None)
-        assert q.pop() is ev
+        assert q.pop_epoch() == [ev]
         ev.cancel()  # already fired; must be a no-op for the counter
         assert len(q) == 1
-        assert q.pop().time == 2
+        assert [e.time for e in q.pop_epoch()] == [2]
         assert len(q) == 0
 
     def test_mass_cancellation_compacts_storage(self):
@@ -106,8 +110,7 @@ class TestEventQueue:
         assert len(q) == 1
         # Compaction stops below COMPACT_MIN; debris is bounded by it.
         assert q.physical_size() <= EventQueue.COMPACT_MIN
-        assert q.pop() is keep
-        assert q.pop() is None
+        assert drain(q) == [keep]
 
     def test_pop_epoch_returns_same_time_run(self):
         q = EventQueue()
@@ -117,7 +120,7 @@ class TestEventQueue:
         batch = q.pop_epoch()
         assert batch == [a, b]
         assert len(q) == 1
-        assert q.peek_time() == 9
+        assert [e.label for e in q.pop_epoch()] == ["c"]
 
     def test_pop_epoch_respects_until(self):
         q = EventQueue()
@@ -136,31 +139,12 @@ class TestEventQueue:
         assert len(q) == 0
         assert q.physical_size() == 0
 
-    def test_restore_precedes_later_same_time_schedules(self):
-        q = EventQueue()
-        a = q.schedule(5, lambda: None, label="a")
-        b = q.schedule(5, lambda: None, label="b")
-        batch = q.pop_epoch()
-        assert batch == [a, b]
-        # A callback of ``a`` schedules another event at t=5...
-        c = q.schedule(5, lambda: None, label="c")
-        # ...then the loop is interrupted before ``b`` fires.
-        q.restore(batch[1:])
-        assert q.pop() is b
-        assert q.pop() is c
-
     def test_pop_order_survives_compaction(self):
         q = EventQueue()
         events = [q.schedule(t, lambda: None) for t in range(200)]
         for ev in events[0:200:2]:
             ev.cancel()
-        popped = []
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
-            popped.append(ev.time)
-        assert popped == list(range(1, 200, 2))
+        assert [ev.time for ev in drain(q)] == list(range(1, 200, 2))
 
 
 class TestSimulationEngine:
@@ -203,24 +187,6 @@ class TestSimulationEngine:
         with pytest.raises(ValueError):
             eng.schedule_at(5, lambda: None)
 
-    def test_stop_exits_loop(self):
-        eng = SimulationEngine()
-        seen = []
-        eng.schedule_at(1, lambda: (seen.append(1), eng.stop()))
-        eng.schedule_at(2, lambda: seen.append(2))
-        eng.run()
-        assert seen == [1]
-
-    def test_max_events_guard(self):
-        eng = SimulationEngine()
-
-        def reschedule():
-            eng.schedule_after(1, reschedule)
-
-        eng.schedule_at(0, reschedule)
-        fired = eng.run(max_events=25)
-        assert fired == 25
-
     def test_run_until_advances_clock_when_queue_drains(self):
         # Regression: the horizon advance used to be conditional on a
         # beyond-horizon event remaining queued, so run(until=...) over
@@ -237,35 +203,6 @@ class TestSimulationEngine:
         fired = eng.run(until=50)
         assert fired == 0
         assert eng.now == 50
-
-    def test_stop_exit_does_not_advance_to_horizon(self):
-        eng = SimulationEngine()
-        eng.schedule_at(5, lambda: eng.stop())
-        eng.run(until=100)
-        assert eng.now == 5
-
-    def test_max_events_exit_does_not_advance_to_horizon(self):
-        eng = SimulationEngine()
-        eng.schedule_at(5, lambda: None)
-        eng.schedule_at(7, lambda: None)
-        fired = eng.run(until=100, max_events=1)
-        assert fired == 1
-        assert eng.now == 5
-        # The unfired event survives and the next run picks it up.
-        assert eng.run(until=100) == 1
-        assert eng.now == 100
-
-    def test_stop_mid_epoch_restores_remaining_events(self):
-        eng = SimulationEngine()
-        seen = []
-        eng.schedule_at(5, lambda: (seen.append("a"), eng.stop()))
-        eng.schedule_at(5, lambda: seen.append("b"))
-        eng.schedule_at(5, lambda: seen.append("c"))
-        eng.run()
-        assert seen == ["a"]
-        assert len(eng.queue) == 2
-        eng.run()
-        assert seen == ["a", "b", "c"]
 
     def test_same_time_schedule_during_epoch_fires_in_order(self):
         eng = SimulationEngine()
