@@ -21,8 +21,9 @@ passed as ``runner=``.  The runner optionally shards cells across a
   the journal.  The parent persists each fresh cell exactly once, in
   :meth:`SweepRunner._store`: journal first, then cache.
 * **Serial fallback** -- ``jobs=1`` runs everything in-process with no
-  executor, byte-identical to the parallel path and under the same
-  failure contract.
+  executor, through the same :func:`_run_cell` and
+  :meth:`SweepRunner._settle` as the parallel path: byte-identical
+  results, the same live sidecar, the same failure contract.
 * **Fault tolerance** -- one cell raising (an invariant violation, a
   bad cost override) or hanging (a runaway simulation) no longer
   throws away every other in-flight cell.  Each cell runs under a
@@ -130,13 +131,15 @@ class _Watchdog:
 
 
 def _run_cell(config_dict, timeout=None):
-    """Simulate one cell in a worker process.
+    """Simulate one cell: in a worker process, or in-process for a
+    serial sweep.
 
     Module-level so the executor can pickle it.  Takes and returns
     plain dicts and persists nothing: the parent is the only writer of
     the journal and the result cache.  Never raises: failures come
     back as ``{"ok": False, ...}`` envelopes so a bad cell cannot
-    poison the pool.
+    poison the pool, and both paths settle the same envelope
+    (:meth:`SweepRunner._settle`).
     """
     config = ExperimentConfig(**config_dict)
     try:
@@ -350,42 +353,52 @@ class SweepRunner:
         for i in slots[key]:
             results[i] = result
 
-    def _quarantine(self, key, config, kind, error, attempts, failures):
-        failure = CellFailure(key, config, kind, error, attempts)
+    def _settle(self, key, config, attempt, envelope, slots, results,
+                failures, may_retry=True):
+        """Apply one attempt's :func:`_run_cell` envelope, the same way
+        on the serial and the parallel path.
+
+        A good envelope is stored (returns ``"stored"``); a failed one
+        earns a same-seed retry while ``attempt <= retries`` and
+        ``may_retry`` (returns ``"retry"``), else it is quarantined
+        (returns ``"quarantined"``).
+        """
+        if envelope.get("ok"):
+            result = ExperimentResult.from_dict(envelope["payload"])
+            for name, value in envelope.get("live", {}).items():
+                if value is not None:
+                    setattr(result, name, value)
+            self._store(key, config, result, slots, results)
+            return "stored"
+        if may_retry and attempt <= self.retries:
+            return "retry"
+        failure = CellFailure(
+            key, config, envelope.get("kind", "error"),
+            envelope.get("error", "unknown failure"), attempt,
+        )
         self.quarantined[key] = failure
         failures.append(failure)
         self._say_failed(failure)
+        return "quarantined"
 
     def _run_serial(self, pending, slots, results, failures):
         total = len(pending)
         done = 0
         for key, config in pending:
-            attempt = 0
+            attempt = 1
             while True:
-                attempt += 1
                 self._say_running(config, attempt)
-                try:
-                    with _Watchdog(self.timeout, config.label()):
-                        result = run_experiment(config)
-                except Exception as exc:
-                    kind = (
-                        "timeout" if isinstance(exc, CellTimeout)
-                        else "error"
-                    )
-                    detail = (
-                        str(exc) if isinstance(exc, CellTimeout)
-                        else "%s: %s" % (type(exc).__name__, exc)
-                    )
-                    if attempt <= self.retries:
-                        continue
-                    self._quarantine(
-                        key, config, kind, detail, attempt, failures
-                    )
+                outcome = self._settle(
+                    key, config, attempt,
+                    _run_cell(config.to_dict(), self.timeout),
+                    slots, results, failures,
+                )
+                if outcome != "retry":
                     break
-                self._store(key, config, result, slots, results)
+                attempt += 1
+            if outcome == "stored":
                 done += 1
                 self._say_done(done, total, config)
-                break
 
     def _run_parallel(self, pending, slots, results, failures):
         total = len(pending)
@@ -407,14 +420,21 @@ class SweepRunner:
             )
             inflight[future] = (key, config, attempt, deadline)
 
-        def failed(key, config, attempt, kind, error):
-            # Retry in a fresh slot, or quarantine for good.
-            if attempt <= self.retries and not pool_broken:
+        def settle(key, config, attempt, envelope):
+            nonlocal done_count
+            outcome = self._settle(
+                key, config, attempt, envelope, slots, results, failures,
+                may_retry=not pool_broken,
+            )
+            if outcome == "retry":
                 submit(key, config, attempt + 1)
-            else:
-                self._quarantine(
-                    key, config, kind, error, attempt, failures
-                )
+            elif outcome == "stored":
+                done_count += 1
+                self._say_done(done_count, total, config)
+
+        def failed(key, config, attempt, kind, error):
+            settle(key, config, attempt,
+                   {"ok": False, "kind": kind, "error": error})
 
         try:
             for key, config in pending:
@@ -465,22 +485,7 @@ class SweepRunner:
                             "%s: %s" % (type(exc).__name__, exc),
                         )
                         continue
-                    if not envelope.get("ok"):
-                        failed(
-                            key, config, attempt,
-                            envelope.get("kind", "error"),
-                            envelope.get("error", "unknown failure"),
-                        )
-                        continue
-                    result = ExperimentResult.from_dict(
-                        envelope["payload"]
-                    )
-                    for name, value in envelope.get("live", {}).items():
-                        if value is not None:
-                            setattr(result, name, value)
-                    self._store(key, config, result, slots, results)
-                    done_count += 1
-                    self._say_done(done_count, total, config)
+                    settle(key, config, attempt, envelope)
         except BaseException:
             # SIGINT/SIGTERM or an unexpected runner bug: drop queued
             # cells, reap the worker processes (a graceful-shutdown

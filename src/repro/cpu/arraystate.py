@@ -30,6 +30,8 @@ Layout invariants the C code relies on:
 
 from array import array
 
+from repro.cpu.cache import set_mask
+
 #: Stats-buffer layout shared with the C extension.
 CACHE_HITS = 0
 CACHE_MISSES = 1
@@ -50,15 +52,9 @@ class ArraySetAssocCache:
 
     def __init__(self, geometry):
         self.geometry = geometry
-        n_sets = geometry.n_sets
-        if n_sets & (n_sets - 1):
-            raise ValueError(
-                "%s: set count %d is not a power of two"
-                % (geometry.name, n_sets)
-            )
-        self._mask = n_sets - 1
+        self._mask = set_mask(geometry)
         self._ways = geometry.ways
-        self._tags = array("q", [-1]) * (n_sets * geometry.ways)
+        self._tags = array("q", [-1]) * ((self._mask + 1) * geometry.ways)
         self._stats = array("q", [0, 0])
 
     # -- counters ------------------------------------------------------

@@ -13,26 +13,75 @@ three levels in one fused loop over the ``_sets`` lists and bump
 line-at-a-time statement of the same transition, kept as the reference
 the fused-walk differential checks every level against
 (``tests/test_access_range_edges.py``).
+
+:class:`SetAssocCache` (list sets) and :class:`TraceCache` (dict sets)
+share everything but their transition through :class:`CacheBase`,
+whose introspection reads a set only through ``in``, iteration and
+``len``.  :func:`set_mask` is the one geometry check, also used by the
+compiled engine's array layouts.
 """
 
 
-class SetAssocCache:
-    """One level of a private cache hierarchy."""
+def set_mask(geometry):
+    """The set-index mask (``n_sets - 1``) of ``geometry``.
+
+    The set index is the low bits of the line number, so the set count
+    must be a power of two.
+    """
+    n_sets = geometry.n_sets
+    if n_sets & (n_sets - 1):
+        raise ValueError(
+            "%s: set count %d is not a power of two" % (geometry.name, n_sets)
+        )
+    return n_sets - 1
+
+
+class CacheBase:
+    """True-LRU set state and its introspection, whatever a set is.
+
+    A subclass names its set type in ``_new_set`` and supplies the
+    transition over it.
+    """
 
     __slots__ = ("geometry", "_mask", "_sets", "_ways", "hits", "misses")
 
     def __init__(self, geometry):
         self.geometry = geometry
-        n_sets = geometry.n_sets
-        if n_sets & (n_sets - 1):
-            raise ValueError(
-                "%s: set count %d is not a power of two" % (geometry.name, n_sets)
-            )
-        self._mask = n_sets - 1
+        self._mask = set_mask(geometry)
         self._ways = geometry.ways
-        self._sets = [[] for _ in range(n_sets)]
+        self._sets = [self._new_set() for _ in range(self._mask + 1)]
         self.hits = 0
         self.misses = 0
+
+    def probe(self, line):
+        """Non-destructive lookup: ``True`` if ``line`` is resident."""
+        return line in self._sets[line & self._mask]
+
+    def resident_lines(self):
+        """All resident line numbers (introspection; not a hot path)."""
+        lines = []
+        for bucket in self._sets:
+            lines.extend(bucket)
+        return lines
+
+    def occupancy(self):
+        """Fraction of capacity currently filled."""
+        filled = sum(len(bucket) for bucket in self._sets)
+        capacity = len(self._sets) * self._ways
+        return filled / float(capacity)
+
+    def __repr__(self):
+        return "%s(%r, hits=%d, misses=%d)" % (
+            type(self).__name__, self.geometry, self.hits, self.misses)
+
+
+class SetAssocCache(CacheBase):
+    """One level of a private cache hierarchy."""
+
+    __slots__ = ()
+
+    #: Each set is a list of line numbers, MRU first.
+    _new_set = list
 
     def access(self, line):
         """Look up ``line``; on miss, fill it (evicting LRU).
@@ -59,32 +108,8 @@ class SetAssocCache:
         bucket.insert(0, line)
         return True
 
-    def probe(self, line):
-        """Non-destructive lookup: ``True`` if ``line`` is resident."""
-        return line in self._sets[line & self._mask]
 
-    def resident_lines(self):
-        """All resident line numbers (introspection; not a hot path)."""
-        lines = []
-        for bucket in self._sets:
-            lines.extend(bucket)
-        return lines
-
-    def occupancy(self):
-        """Fraction of capacity currently filled."""
-        filled = sum(len(bucket) for bucket in self._sets)
-        capacity = len(self._sets) * self._ways
-        return filled / float(capacity)
-
-    def __repr__(self):
-        return "SetAssocCache(%r, hits=%d, misses=%d)" % (
-            self.geometry,
-            self.hits,
-            self.misses,
-        )
-
-
-class TraceCache:
+class TraceCache(CacheBase):
     """LRU cache specialised for the instruction-fetch path.
 
     Replacement policy, hit/miss accounting and geometry validation are
@@ -98,20 +123,10 @@ class TraceCache:
     instruction lines, so no ``invalidate`` entry point is needed.
     """
 
-    __slots__ = ("geometry", "_mask", "_sets", "_ways", "hits", "misses")
+    __slots__ = ()
 
-    def __init__(self, geometry):
-        self.geometry = geometry
-        n_sets = geometry.n_sets
-        if n_sets & (n_sets - 1):
-            raise ValueError(
-                "%s: set count %d is not a power of two" % (geometry.name, n_sets)
-            )
-        self._mask = n_sets - 1
-        self._ways = geometry.ways
-        self._sets = [{} for _ in range(n_sets)]
-        self.hits = 0
-        self.misses = 0
+    #: Each set is a dict of line numbers, LRU-to-MRU key order.
+    _new_set = dict
 
     def miss_count(self, lines):
         """Batched fetch of ``lines``; returns the number of misses.
@@ -140,27 +155,3 @@ class TraceCache:
         self.hits += hits
         self.misses += misses
         return misses
-
-    def probe(self, line):
-        """Non-destructive lookup: ``True`` if ``line`` is resident."""
-        return line in self._sets[line & self._mask]
-
-    def resident_lines(self):
-        """All resident line numbers (introspection; not a hot path)."""
-        lines = []
-        for bucket in self._sets:
-            lines.extend(bucket)
-        return lines
-
-    def occupancy(self):
-        """Fraction of capacity currently filled."""
-        filled = sum(len(bucket) for bucket in self._sets)
-        capacity = len(self._sets) * self._ways
-        return filled / float(capacity)
-
-    def __repr__(self):
-        return "TraceCache(%r, hits=%d, misses=%d)" % (
-            self.geometry,
-            self.hits,
-            self.misses,
-        )

@@ -13,9 +13,12 @@ Those per-charge fields (``now``, ``busy_cycles``, ``recent_load``,
 ``last_spec``, ``skid_spec``, ``sibling``) are C struct members of the
 extension's ``CpuCore`` type, so the concrete class is built over it
 once the extension is loaded: :func:`cpu_class`.  Machine-layer code
-reads and writes them as plain attributes.  The cold paths the machine
-runs between charges (machine clears, idle advance, utilization) are
-:class:`~repro.cpu.core.CpuBase`'s, shared with the pure engine.  The
+reads and writes them as plain attributes.  Construction (identity,
+HT-sibling sharing, clocks, skid state, ``memsys.attach_cpu``) and the
+cold paths the machine runs between charges (machine clears, idle
+advance, utilization) are :class:`~repro.cpu.core.CpuBase`'s, shared
+with the pure engine; this module supplies only the array components
+(:meth:`CompiledCpu._components`) and the ``array('q')`` totals.  The
 duck-typed surface matches ``Cpu``; the equivalence and golden suites
 run the same workloads over both and require identical state and
 event streams.
@@ -80,46 +83,22 @@ class CompiledCpu(CpuBase):
 
     def __init__(self, index, params, costs, memsys, sink, registry,
                  name=None, share_with=None, domain=None):
-        self.index = index
-        self.name = name or ("CPU%d" % index)
-        self.params = params
-        self.costs = costs
-        self.memsys = memsys
-        self.sink = sink
         self.registry = registry
-        self.domain = domain if domain is not None else index
-        self.sibling = None
-        self.recent_load = 0.0
-        if share_with is None:
-            self.l1 = ArraySetAssocCache(params.l1)
-            self.l2 = ArraySetAssocCache(params.l2)
-            self.l3 = ArraySetAssocCache(params.l3)
-            self.itlb = ArrayTlb(params.itlb)
-            self.dtlb = ArrayTlb(params.dtlb)
-            self.trace_cache = ArrayTraceCache(params.trace_cache)
-            self.branch_predictor = ArrayBranchPredictor(
-                params.bp_capacity, registry)
-        else:
-            self.l1 = share_with.l1
-            self.l2 = share_with.l2
-            self.l3 = share_with.l3
-            self.itlb = share_with.itlb
-            self.dtlb = share_with.dtlb
-            self.trace_cache = share_with.trace_cache
-            self.branch_predictor = share_with.branch_predictor
-            self.domain = share_with.domain
-            self.sibling = share_with
-            share_with.sibling = self
-        self.now = 0
-        self.busy_cycles = 0
         # Same layout as the reference's list, but buffer-exportable so
         # the C engine adds into it directly.
-        self.totals = array("q", zero_counts())
-        self.last_spec = None
-        self.skid_spec = None
-        self._skid_acc = 0
-        self._busy_at_last_tick = 0
-        memsys.attach_cpu(self)
+        CpuBase.__init__(self, index, params, costs, memsys, sink,
+                         array("q", zero_counts()), name, share_with, domain)
+
+    def _components(self, params):
+        return (
+            ArraySetAssocCache(params.l1),
+            ArraySetAssocCache(params.l2),
+            ArraySetAssocCache(params.l3),
+            ArrayTlb(params.itlb),
+            ArrayTlb(params.dtlb),
+            ArrayTraceCache(params.trace_cache),
+            ArrayBranchPredictor(params.bp_capacity, self.registry),
+        )
 
     # ------------------------------------------------------------------
     # The hot path.
@@ -131,7 +110,3 @@ class CompiledCpu(CpuBase):
         :meth:`repro.cpu.core.Cpu.charge`."""
         return self._core.charge(self, spec, instructions, reads, writes,
                                  extra_cycles, branches, mispredicts)
-
-    def __repr__(self):
-        return "CompiledCpu(%s, now=%d, busy=%d)" % (
-            self.name, self.now, self.busy_cycles)

@@ -36,11 +36,75 @@ from repro.mem.system import DirectoryEntry
 
 
 class CpuBase:
-    """What both engines' CPUs share: the cold paths the machine layer
-    runs between charges.  Slotless, so it mixes into :class:`Cpu` and
-    into the compiled CPU built over the C ``CpuCore`` type alike."""
+    """What both engines' CPUs share: construction and the cold paths
+    the machine layer runs between charges.  Slotless, so it mixes into
+    :class:`Cpu` and into the compiled CPU built over the C ``CpuCore``
+    type alike.
+
+    An engine supplies only its state layout: :meth:`_components`
+    builds the seven per-core cache/TLB/predictor units, and the
+    ``totals`` buffer comes in from its ``__init__``.
+    """
 
     __slots__ = ()
+
+    def __init__(self, index, params, costs, memsys, sink, totals,
+                 name=None, share_with=None, domain=None):
+        """
+        ``share_with`` makes this CPU a HyperThreading sibling of
+        another: the two logical processors share one physical core's
+        caches, TLBs, trace cache and branch predictor (the P4 Xeon's
+        SMT arrangement), and belong to one coherence ``domain``.
+        """
+        self.index = index
+        self.name = name or ("CPU%d" % index)
+        self.params = params
+        self.costs = costs
+        self.memsys = memsys
+        self.sink = sink
+        #: Coherence identity: which physical cache hierarchy we use.
+        self.domain = domain if domain is not None else index
+        #: HT sibling (set for both halves of a pair), and the
+        #: sibling's recent busy fraction (updated by the machine tick)
+        #: used to model execution-resource contention.
+        self.sibling = None
+        self.recent_load = 0.0
+        if share_with is None:
+            (self.l1, self.l2, self.l3, self.itlb, self.dtlb,
+             self.trace_cache, self.branch_predictor) = self._components(
+                params)
+        else:
+            self.l1 = share_with.l1
+            self.l2 = share_with.l2
+            self.l3 = share_with.l3
+            self.itlb = share_with.itlb
+            self.dtlb = share_with.dtlb
+            self.trace_cache = share_with.trace_cache
+            self.branch_predictor = share_with.branch_predictor
+            self.domain = share_with.domain
+            self.sibling = share_with
+            share_with.sibling = self
+        #: Local clock in cycles.  The machine layer keeps it in sync
+        #: with the global event engine.
+        self.now = 0
+        #: Cycles spent doing work (charges + interrupt flushes); the
+        #: complement of idle time, for CPU-utilization reporting.
+        self.busy_cycles = 0
+        #: Per-CPU event totals (same layout as the sink's vectors).
+        self.totals = totals
+        #: The function most recently executed.
+        self.last_spec = None
+        #: Cycle-weighted sample of recently-executing functions: the
+        #: spec that crossed the most recent sampling boundary.  This
+        #: is the attribution target for asynchronous machine clears --
+        #: like Oprofile's skid, a clear lands on whatever code was
+        #: (statistically) on the CPU, weighted by time, not by call
+        #: frequency.
+        self.skid_spec = None
+        self._skid_acc = 0
+        #: Busy-cycle snapshot taken by the machine's load-tracking tick.
+        self._busy_at_last_tick = 0
+        memsys.attach_cpu(self)
 
     def machine_clear(self, attr_spec, counted, flush=True):
         """Apply a pipeline clear caused by an asynchronous interruption.
@@ -75,6 +139,10 @@ class CpuBase:
         if denom <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / float(denom))
+
+    def __repr__(self):
+        return "%s(%s, now=%d, busy=%d)" % (
+            type(self).__name__, self.name, self.now, self.busy_cycles)
 
 
 class Cpu(CpuBase):
@@ -111,64 +179,8 @@ class Cpu(CpuBase):
 
     def __init__(self, index, params, costs, memsys, sink, name=None,
                  share_with=None, domain=None):
-        """
-        ``share_with`` makes this CPU a HyperThreading sibling of
-        another: the two logical processors share one physical core's
-        caches, TLBs, trace cache and branch predictor (the P4 Xeon's
-        SMT arrangement), and belong to one coherence ``domain``.
-        """
-        self.index = index
-        self.name = name or ("CPU%d" % index)
-        self.params = params
-        self.costs = costs
-        self.memsys = memsys
-        self.sink = sink
-        #: Coherence identity: which physical cache hierarchy we use.
-        self.domain = domain if domain is not None else index
-        #: HT sibling (set for both halves of a pair), and the
-        #: sibling's recent busy fraction (updated by the machine tick)
-        #: used to model execution-resource contention.
-        self.sibling = None
-        self.recent_load = 0.0
-        if share_with is None:
-            self.l1 = SetAssocCache(params.l1)
-            self.l2 = SetAssocCache(params.l2)
-            self.l3 = SetAssocCache(params.l3)
-            self.itlb = Tlb(params.itlb)
-            self.dtlb = Tlb(params.dtlb)
-            self.trace_cache = TraceCache(params.trace_cache)
-            self.branch_predictor = BranchPredictor(params.bp_capacity)
-        else:
-            self.l1 = share_with.l1
-            self.l2 = share_with.l2
-            self.l3 = share_with.l3
-            self.itlb = share_with.itlb
-            self.dtlb = share_with.dtlb
-            self.trace_cache = share_with.trace_cache
-            self.branch_predictor = share_with.branch_predictor
-            self.domain = share_with.domain
-            self.sibling = share_with
-            share_with.sibling = self
-        #: Local clock in cycles.  The machine layer keeps it in sync
-        #: with the global event engine.
-        self.now = 0
-        #: Cycles spent doing work (charges + interrupt flushes); the
-        #: complement of idle time, for CPU-utilization reporting.
-        self.busy_cycles = 0
-        #: Per-CPU event totals (same layout as the sink's vectors).
-        self.totals = zero_counts()
-        #: The function most recently executed.
-        self.last_spec = None
-        #: Cycle-weighted sample of recently-executing functions: the
-        #: spec that crossed the most recent sampling boundary.  This
-        #: is the attribution target for asynchronous machine clears --
-        #: like Oprofile's skid, a clear lands on whatever code was
-        #: (statistically) on the CPU, weighted by time, not by call
-        #: frequency.
-        self.skid_spec = None
-        self._skid_acc = 0
-        #: Busy-cycle snapshot taken by the machine's load-tracking tick.
-        self._busy_at_last_tick = 0
+        CpuBase.__init__(self, index, params, costs, memsys, sink,
+                         zero_counts(), name, share_with, domain)
         #: Everything the fused data walks (:meth:`_read_range`,
         #: :meth:`_write_range`) need, packed into one tuple so the hot
         #: path pays a single attribute load + unpack instead of ~20
@@ -176,7 +188,7 @@ class Cpu(CpuBase):
         #: caches' ``_sets`` lists, the directory dict and the cost
         #: constants are never reassigned after construction (every
         #: transition mutates the set lists in place), and ``domain``
-        #: is final once the ``share_with`` wiring above ran.
+        #: is final once the base's ``share_with`` wiring ran.
         self._walk_ctx = (
             self.l1, self.l2, self.l3,
             self.l1._sets, self.l1._mask, self.l1._ways,
@@ -216,7 +228,17 @@ class Cpu(CpuBase):
             self.dtlb,
             memsys.directory, 1 << self.domain, self.domain,
         )
-        memsys.attach_cpu(self)
+
+    def _components(self, params):
+        return (
+            SetAssocCache(params.l1),
+            SetAssocCache(params.l2),
+            SetAssocCache(params.l3),
+            Tlb(params.itlb),
+            Tlb(params.dtlb),
+            TraceCache(params.trace_cache),
+            BranchPredictor(params.bp_capacity),
+        )
 
     # ------------------------------------------------------------------
     # Hot path.
@@ -764,6 +786,3 @@ class Cpu(CpuBase):
         bucket = sets3[line & mask3]
         if line in bucket:
             bucket.remove(line)
-
-    def __repr__(self):
-        return "Cpu(%s, now=%d, busy=%d)" % (self.name, self.now, self.busy_cycles)

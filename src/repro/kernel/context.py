@@ -28,22 +28,13 @@ KIND_HARDIRQ = "hardirq"
 class ExecContext:
     """Binding of executing kernel code to a CPU and the machine."""
 
-    __slots__ = ("machine", "cpu", "kind", "task", "locks_held",
-                 "pending_irqs")
+    __slots__ = ("machine", "cpu", "kind", "task", "locks_held")
 
     def __init__(self, machine, cpu, kind, task=None):
         self.machine = machine
         self.cpu = cpu
         self.kind = kind
         self.task = task
-        #: The interrupt vectors pending on ``cpu`` (its machine
-        #: state's list, refreshed by :meth:`move_to`).  A hardirq
-        #: handler never delivers interrupts itself, so its context
-        #: watches a tuple that stays empty.
-        self.pending_irqs = (
-            () if kind == KIND_HARDIRQ
-            else machine.states[cpu.index].pending_irqs
-        )
         #: Number of spinlocks currently held by this context; while
         #: non-zero, softirqs are deferred on this CPU (the
         #: ``spin_lock_bh`` discipline of the network stack) and the
@@ -67,28 +58,19 @@ class ExecContext:
                branches=None, mispredicts=None):
         """Execute one function invocation on the current CPU.
 
-        After the charge, interrupts pending on the CPU are delivered
-        (unless we *are* the interrupt handler).  Devices raise their
-        lines only from engine events, and no event fires while a CPU
-        steps, so in practice this check finds nothing: a device
-        interrupt waits for the target CPU's next step, up to
-        ``STEP_QUANTUM`` cycles (see DESIGN.md section 6).
+        Interrupts are not delivered here.  Devices raise their lines
+        only from engine events, and no event fires while a CPU steps,
+        so nothing can become pending during a charge: a device
+        interrupt waits for the target CPU's next step (or its next
+        preemption point), up to ``STEP_QUANTUM`` cycles (see DESIGN.md
+        section 6).
         """
         # Positional call: this wrapper runs once per simulated function
         # invocation and keyword argument binding is measurable here.
-        cycles = self.cpu.charge(
+        return self.cpu.charge(
             spec, instructions, reads, writes, extra_cycles,
             branches, mispredicts,
         )
-        # Common case: nothing pending; skip the delivery call.
-        if self.pending_irqs:
-            self.machine.deliver_pending_hardirqs(self.cpu)
-        return cycles
-
-    def move_to(self, cpu):
-        """Rebind this (task) context to ``cpu`` -- on dispatch."""
-        self.cpu = cpu
-        self.pending_irqs = self.machine.states[cpu.index].pending_irqs
 
     # ------------------------------------------------------------------
     # Services routed through the machine.

@@ -817,7 +817,7 @@ class Machine:
         writes = [(task._struct.addr, 64)]
         if state.last_task is not None and switching:
             reads.append((state.last_task._struct.addr, 128))
-        task._ctx.move_to(cpu)
+        task._ctx.cpu = cpu
         cpu.last_spec = self.spec_schedule
         extra = 1500 if switching else 0  # CR3 write and pipeline drain
         cpu.charge(self.spec_schedule, 260 if switching else 90,

@@ -17,7 +17,7 @@ them as zero-cost protocol engines:
   "file IO over iSCSI/TCP" future-work experiment.
 """
 
-from repro.net.packet import ack_packet, data_packet
+from repro.net.packet import ack_packet, control_packet, data_packet
 from repro.net.sock import BUFFER_SCALE_CAP
 
 #: Sink flush delay: a trailing un-ACKed segment is acknowledged after
@@ -135,7 +135,7 @@ class Peer:
 
     def on_frame(self, packet):
         if self.mode == "sink":
-            self._sink_on_frame(packet)
+            self._receive_data(packet)
         elif self.mode == "source":
             self._source_on_frame(packet)
         elif self.mode == "initiator":
@@ -144,12 +144,19 @@ class Peer:
             self._client_on_frame(packet)
 
     # ------------------------------------------------------------------
-    # Sink: ACK the SUT's data.
+    # Receiving the SUT's data: the sink's whole job, and the response
+    # half of the initiator and the web client.
     # ------------------------------------------------------------------
 
-    def _sink_on_frame(self, packet):
+    def _receive_data(self, packet):
+        """Consume one frame of the SUT's data stream and ACK it.
+
+        Returns ``True`` only when ``rcv_nxt`` advanced; a pure ACK, a
+        gap or a duplicate returns ``False`` (after any immediate ACK
+        it owes).
+        """
         if packet.is_ack or packet.len == 0:
-            return  # pure ACK (window updates) -- nothing to do
+            return False  # pure ACK (window updates) -- nothing to do
         if packet.seq > self.rcv_nxt:
             # A gap: buffer out of order and duplicate-ACK immediately
             # so the sender's fast retransmit can kick in.
@@ -158,7 +165,7 @@ class Peer:
                 self.reorder_depth_peak = len(self._ooo)
             self.dup_acks_sent += 1
             self._send_ack()
-            return
+            return False
         if packet.end_seq > self.rcv_nxt:
             self.rcv_nxt = packet.end_seq
             self._drain_ooo()
@@ -167,7 +174,7 @@ class Peer:
             # our current state immediately.
             self.dup_segments_rcvd += 1
             self._send_ack()
-            return
+            return False
         self._unacked_segments += 1
         if self._unacked_segments >= self.params.ack_every:
             self._send_ack()
@@ -175,6 +182,7 @@ class Peer:
             self._flush_event = self.engine.schedule_after(
                 SINK_FLUSH_CYCLES, self._flush, label="peer%d flush" % self.conn_id
             )
+        return True
 
     def _drain_ooo(self):
         """Advance rcv_nxt over any buffered segments the gap-fill
@@ -381,31 +389,9 @@ class Peer:
         self._pump_commands()
 
     def _initiator_on_frame(self, packet):
-        if packet.is_ack or packet.len == 0:
-            return
         # Response data from the SUT: consume like a sink.
-        if packet.seq > self.rcv_nxt:
-            self._ooo.append((packet.seq, packet.end_seq))
-            if len(self._ooo) > self.reorder_depth_peak:
-                self.reorder_depth_peak = len(self._ooo)
-            self.dup_acks_sent += 1
-            self._send_ack()
+        if not self._receive_data(packet):
             return
-        if packet.end_seq > self.rcv_nxt:
-            self.rcv_nxt = packet.end_seq
-            self._drain_ooo()
-        else:
-            self.dup_segments_rcvd += 1
-            self._send_ack()
-            return
-        self._unacked_segments += 1
-        if self._unacked_segments >= self.params.ack_every:
-            self._send_ack()
-        elif self._flush_event is None:
-            self._flush_event = self.engine.schedule_after(
-                SINK_FLUSH_CYCLES, self._flush,
-                label="peer%d flush" % self.conn_id,
-            )
         self.responses_completed = self.rcv_nxt // self.block_bytes
         self._pump_commands()
 
@@ -431,8 +417,6 @@ class Peer:
         self._open_connection()
 
     def _open_connection(self):
-        from repro.net.packet import control_packet
-
         self.phase = "setup"
         self.requests_sent_this_conn = 0
         self.snd_nxt = 0
@@ -442,8 +426,6 @@ class Peer:
         self.nic.deliver_frame(control_packet(self.conn_id, "syn"))
 
     def _client_on_frame(self, packet):
-        from repro.net.packet import control_packet
-
         if packet.ctl == "synack":
             self.phase = "established"
             self.nic.deliver_frame(control_packet(self.conn_id, "estab_ack"))
@@ -457,31 +439,9 @@ class Peer:
                 label="client%d think" % self.conn_id,
             )
             return
-        if packet.is_ack or packet.len == 0:
-            return
         # Response data: consume like a sink.
-        if packet.seq > self.rcv_nxt:
-            self._ooo.append((packet.seq, packet.end_seq))
-            if len(self._ooo) > self.reorder_depth_peak:
-                self.reorder_depth_peak = len(self._ooo)
-            self.dup_acks_sent += 1
-            self._send_ack()
+        if not self._receive_data(packet):
             return
-        if packet.end_seq > self.rcv_nxt:
-            self.rcv_nxt = packet.end_seq
-            self._drain_ooo()
-        else:
-            self.dup_segments_rcvd += 1
-            self._send_ack()
-            return
-        self._unacked_segments += 1
-        if self._unacked_segments >= self.params.ack_every:
-            self._send_ack()
-        elif self._flush_event is None:
-            self._flush_event = self.engine.schedule_after(
-                SINK_FLUSH_CYCLES, self._flush,
-                label="peer%d flush" % self.conn_id,
-            )
         # A response is complete when the byte stream reaches the next
         # response boundary.
         if self.rcv_nxt >= self.requests_sent_this_conn * self.block_bytes:

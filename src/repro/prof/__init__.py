@@ -10,7 +10,7 @@ skid) on top for fidelity to the paper's methodology, and
 the authors use to sanity-check interrupt routing.
 """
 
-from repro.prof.accounting import BinProfile, ExactAccounting
+from repro.prof.accounting import ExactAccounting
 from repro.prof.oprofile import OprofileView
 from repro.prof.procstat import ProcInterrupts
 from repro.prof.tuning import analyze as tuning_analyze
@@ -18,7 +18,6 @@ from repro.prof.tuning import render_advice
 
 __all__ = [
     "ExactAccounting",
-    "BinProfile",
     "OprofileView",
     "ProcInterrupts",
     "tuning_analyze",

@@ -18,13 +18,15 @@ buffers.
 behaviour exactly, including chronological ``rows()`` order: the first
 charge of each ``(cpu, spec)`` pair appends its flat index to an order
 log, so aggregation order -- and therefore every report -- matches the
-dict-insertion order of the reference.
+dict-insertion order of the reference.  It defines only that layout
+(``record``, ``reset``, ``rows``); both sinks inherit the one set of
+aggregations from :class:`~repro.prof.accounting.Accounting`.
 """
 
 from array import array
 
-from repro.cpu.events import N_EVENTS, zero_counts
-from repro.cpu.function import BINS
+from repro.cpu.events import N_EVENTS
+from repro.prof.accounting import Accounting
 
 #: ``SlotRegistry._meta`` layout (bound by the compiled engine).
 REG_GENERATION = 0
@@ -89,8 +91,12 @@ class SlotRegistry:
         return len(self.names)
 
 
-class ArrayAccounting:
-    """Flat-array twin of :class:`~repro.prof.accounting.ExactAccounting`."""
+class ArrayAccounting(Accounting):
+    """Flat-array twin of :class:`~repro.prof.accounting.ExactAccounting`.
+
+    Only the layout lives here (``record``, ``reset``, ``rows``); the
+    aggregations are :class:`~repro.prof.accounting.Accounting`'s.
+    """
 
     __slots__ = ("n_cpus", "registry", "_rows", "_touched", "_order",
                  "_meta")
@@ -181,8 +187,6 @@ class ArrayAccounting:
                 rows[i] = 0
         meta[ACCT_ORDER_COUNT] = 0
 
-    # -- aggregation (same outputs as the reference) -------------------
-
     def rows(self):
         """``((cpu_index, spec), vector)`` pairs, first-charge order."""
         out = []
@@ -197,44 +201,6 @@ class ArrayAccounting:
             out.append(((cpu, specs[slot]),
                         list(rows[base: base + N_EVENTS])))
         return out
-
-    def per_function(self, cpu_index=None, include_idle=False):
-        out = {}
-        for (cpu, spec), vec in self.rows():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            if not include_idle and spec.bin == "other":
-                continue
-            entry = out.get(spec.name)
-            if entry is None:
-                out[spec.name] = (spec, vec)
-            else:
-                row = entry[1]
-                for i in range(N_EVENTS):
-                    row[i] += vec[i]
-        return out
-
-    def per_bin(self, cpu_index=None):
-        out = {name: zero_counts() for name in BINS}
-        for (cpu, spec), vec in self.rows():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            row = out[spec.bin]
-            for i in range(N_EVENTS):
-                row[i] += vec[i]
-        return out
-
-    def total(self, include_idle=False):
-        out = zero_counts()
-        for (_, spec), vec in self.rows():
-            if not include_idle and spec.bin == "other":
-                continue
-            for i in range(N_EVENTS):
-                out[i] += vec[i]
-        return out
-
-    def cpus(self):
-        return sorted({cpu for (cpu, _), _ in self.rows()})
 
 
 class ClassColumns:

@@ -77,9 +77,13 @@ def cmd_runs_show(args):
 def cmd_runs_resume(args):
     from repro import cli as main_cli
 
+    # Every command name ``cli._run_study`` journals under; the
+    # recorded args carry ``coalesce_sweep=True`` for "coalesce".
     dispatch = {
         "sweep": main_cli.cmd_sweep,
         "scale": main_cli.cmd_scale,
+        "coalesce": main_cli.cmd_scale,
+        "offload": main_cli.cmd_offload,
         "diagnose": main_cli.cmd_diagnose,
     }
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.parallel import SweepRunner
 from repro.core.repeat import Summary, gain_statistics, replicate
 
@@ -52,13 +52,17 @@ class TestGainStatistics:
         assert summary.mean > 0.03
 
 
-class _FakeResult:
+class _FakeResult(ExperimentResult):
+    # A real (if tiny) result payload: serial and parallel sweeps both
+    # ship a cell's ``to_dict()`` back to the runner.
     def __init__(self, config):
         # Deterministic per-cell metric so gains are checkable: the
         # affinity modes get distinct throughputs per seed.
         bump = {"none": 0.0, "full": 1.0}.get(config.affinity, 0.5)
-        self.throughput_gbps = 1.0 + 0.1 * config.seed + bump
-        self.cost_ghz_per_gbps = 1.0
+        super().__init__({
+            "throughput_gbps": 1.0 + 0.1 * config.seed + bump,
+            "cost_ghz_per_gbps": 1.0,
+        })
 
 
 class TestDuplicateSeedDedupe:

@@ -4,11 +4,14 @@ The run-store acceptance property end to end: a scale sweep and a
 diagnosis killed mid-run (-9, no chance to clean up) must resume from
 their journals, re-executing only the cells that never made it to
 disk, and produce final reports byte-identical to an uninterrupted
-run of the same parameters.
+run of the same parameters.  Every study command the CLI journals
+must also have a resume driver: resuming a finished run of each one
+replays every cell and rewrites the same report.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -30,6 +33,26 @@ DIAG_ARGS = [
     "--knobs", "copy-engine", "--steps", "1", "--size", "16384",
     "--connections", "4", "--cpus", "2", "--warmup-ms", "1",
     "--measure-ms", "2", "--jobs", "1", "--no-cache",
+]
+
+#: One tiny journaled run per command name ``cli._run_study`` records:
+#: ``(command name, CLI args, cells, report artifact)``.
+TINY = ["--warmup-ms", "1", "--measure-ms", "1", "--no-cache"]
+STUDIES = [
+    ("sweep", ["sweep", "--direction", "tx", "--sizes", "1024",
+               "--modes", "none,full", "--connections", "2",
+               "--jobs", "1"] + TINY, 2, "report.txt"),
+    ("scale", ["scale", "--cpus", "2", "--sizes", "4096", "--modes",
+               "rss", "--queues", "2", "--connections", "4",
+               "--jobs", "1"] + TINY, 1, "report.txt"),
+    ("coalesce", ["scale", "--coalesce-sweep", "--cpus", "2",
+                  "--queues", "2", "--connections", "4", "--sizes",
+                  "4096", "--coalesce-us", "25", "--coalesce-variants",
+                  "baseline", "--jobs", "1"] + TINY, 1, "report.txt"),
+    ("offload", ["offload", "--modes", "full,toe", "--directions", "rx",
+                 "--size", "16384", "--connections", "4"] + TINY,
+     2, "report.txt"),
+    ("diagnose", DIAG_ARGS, None, "diagnosis.json"),
 ]
 
 
@@ -175,3 +198,37 @@ class TestDiagnoseCrashResume:
         assert resumed_session["replayed"] >= journaled
         # Resume re-executed only what the kill lost.
         assert resumed_session["executed"] < total
+
+
+def test_every_journaled_command_is_listed():
+    """``STUDIES`` covers every command name the CLI journals under."""
+    with open(os.path.join(REPO, "src", "repro", "cli.py")) as fh:
+        recorded = set(re.findall(r'_run_study\(args, "(\w+)"', fh.read()))
+    assert recorded == {name for name, _, _, _ in STUDIES}
+
+
+@pytest.mark.parametrize(
+    "command,args,cells,artifact", STUDIES, ids=[s[0] for s in STUDIES]
+)
+def test_resume_replays_every_study_kind(tmp_path, command, args, cells,
+                                         artifact):
+    env = _env(tmp_path)
+    # In tmp_path: diagnose also writes its JSON under ./results.
+    fresh = _cli(args + ["--run-id", "r"], env, cwd=str(tmp_path))
+    assert fresh.returncode == 0, fresh.stderr
+    first = _manifest(tmp_path, "r")
+    assert first["command"] == command
+    executed = first["sessions"][0]["executed"]
+    if cells is not None:
+        assert executed == cells
+    report = tmp_path / "runs" / "r" / artifact
+    want = report.read_bytes()
+
+    resume = _cli(["runs", "resume", "r"], env, cwd=str(tmp_path))
+    assert resume.returncode == 0, resume.stderr
+    manifest = _manifest(tmp_path, "r")
+    assert manifest["status"] == "completed"
+    resumed_session = manifest["sessions"][-1]
+    assert resumed_session["executed"] == 0
+    assert resumed_session["replayed"] == executed
+    assert report.read_bytes() == want

@@ -6,7 +6,10 @@ plain metrics of every cell in a 36-cell matrix: both directions,
 three message sizes, all four affinity modes -- plus the two
 multi-queue steering modes (``rss`` / ``flow-director``) on a shared
 4-queue 10GbE-class NIC, which pins the Toeplitz spread, Flow
-Director retarget timing and the reordering counters bit-for-bit.
+Director retarget timing and the reordering counters bit-for-bit --
+plus four NIC-offload cells and seven peer-mode cells (the iSCSI
+initiator and web client peers, and every receiving peer's gap and
+duplicate arms under wire loss): 47 cells in all.
 
 The hash makes this a bit-identity check: any change to simulated
 cache behaviour, event ordering, cycle charging or accounting -- no
@@ -19,7 +22,9 @@ Regenerate after an *intentional* model change with::
 
     PYTHONPATH=src python tests/test_golden_determinism.py --regenerate
 
-and eyeball the diff of the plain metrics before committing.
+and eyeball the diff of the plain metrics before committing.  To
+grow the matrix without touching any recorded digest, run with
+``--add`` instead: it records only the cells the table lacks.
 """
 
 import hashlib
@@ -54,6 +59,30 @@ OFFLOAD_CELLS = (
     ("rx-65536-gro", "rx", 65536, "gro"),
 )
 
+#: Peer-mode cells.  The classic cells only ever run the sink/source
+#: peer with a clean wire; these pin the iSCSI initiator and web client
+#: peers, and -- under wire loss -- every receiving peer's gap
+#: (out-of-order buffer plus duplicate ACK) and duplicate arms.  Each
+#: mode maps to ``(workload, affinity, faults)``.
+PEER_KNOBS = {
+    "iscsi-none": ("iscsi", "none", None),
+    "iscsi-full": ("iscsi", "full", None),
+    "web-none": ("web", "none", None),
+    "web-full": ("web", "full", None),
+    "full-loss1": ("ttcp", "full", "loss=0.01"),
+    "iscsi-full-loss1": ("iscsi", "full", "loss=0.01"),
+    "web-full-loss2": ("web", "full", "loss=0.02"),
+}
+PEER_CELLS = (
+    ("iscsi-8192-none", "rx", 8192, "iscsi-none"),
+    ("iscsi-8192-full", "rx", 8192, "iscsi-full"),
+    ("web-4096-none", "rx", 4096, "web-none"),
+    ("web-4096-full", "rx", 4096, "web-full"),
+    ("tx-16384-full-loss1", "tx", 16384, "full-loss1"),
+    ("iscsi-8192-full-loss1", "rx", 8192, "iscsi-full-loss1"),
+    ("web-16384-full-loss2", "rx", 16384, "web-full-loss2"),
+)
+
 
 def _config(direction, size, mode):
     # Small windows keep the 36-cell matrix affordable in tier-1; the
@@ -70,6 +99,19 @@ def _config(direction, size, mode):
             n_connections=8,
             n_cpus=4,
             n_queues=4,
+            warmup_ms=2,
+            measure_ms=3,
+            seed=7,
+        )
+    if mode in PEER_KNOBS:
+        workload, affinity, faults = PEER_KNOBS[mode]
+        return ExperimentConfig(
+            direction=direction,
+            message_size=size,
+            affinity=affinity,
+            workload=workload,
+            faults=faults,
+            n_connections=4,
             warmup_ms=2,
             measure_ms=3,
             seed=7,
@@ -107,7 +149,7 @@ GOLDEN = _load_golden()
 CELLS = [
     ("%s-%d-%s" % (d, s, m), d, s, m)
     for d in DIRECTIONS for s in SIZES for m in MODES + MQ_MODES
-] + list(OFFLOAD_CELLS)
+] + list(OFFLOAD_CELLS) + list(PEER_CELLS)
 
 
 def test_golden_table_is_complete():
@@ -134,9 +176,13 @@ def test_golden_cell(key, direction, size, mode):
     assert digest == want["sha256"]
 
 
-def _regenerate():
-    table = {}
+def _regenerate(add_only=False):
+    # ``--add`` records only the cells the table lacks, so growing the
+    # matrix can never rewrite an existing digest.
+    table = _load_golden() if add_only else {}
     for key, direction, size, mode in CELLS:
+        if key in table:
+            continue
         payload, digest = _cell(direction, size, mode)
         table[key] = {
             "sha256": digest,
@@ -158,5 +204,7 @@ if __name__ == "__main__":
 
     if "--regenerate" in sys.argv:
         _regenerate()
+    elif "--add" in sys.argv:
+        _regenerate(add_only=True)
     else:
         print(__doc__)

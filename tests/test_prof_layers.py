@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.characterization import characterize
+from repro.core.experiment import ExperimentResult
 from repro.cpu.events import CYCLES, INSTRUCTIONS
-from repro.prof.accounting import BinProfile, ExactAccounting
+from repro.prof.accounting import ExactAccounting
 from repro.prof.oprofile import OprofileView
 from repro.prof.procstat import ProcInterrupts
 
@@ -53,26 +55,30 @@ class TestExactAccounting:
         assert acct.cpus() == [0, 1]
 
 
-class TestBinProfile:
+class TestTable1Derivation:
+    """Table 1's derived columns, from per-bin vectors that went through
+    the accounting sink (``characterize`` is the one derivation)."""
+
     def make(self):
         acct = ExactAccounting()
         record(acct, 0, FakeSpec("a", "engine"), cycles=300, instructions=100)
         record(acct, 0, FakeSpec("b", "copies"), cycles=700, instructions=100)
-        return BinProfile(acct.per_bin(), work_bits=1000)
+        return ExperimentResult({"bins": acct.per_bin(), "total_bytes": 125})
 
     def test_pct_cycles(self):
-        prof = self.make()
-        assert prof.pct_cycles("engine") == pytest.approx(0.3)
-        assert prof.pct_cycles("copies") == pytest.approx(0.7)
+        rows = characterize(self.make())
+        assert rows["engine"].pct_cycles == pytest.approx(0.3)
+        assert rows["copies"].pct_cycles == pytest.approx(0.7)
 
     def test_cpi(self):
-        prof = self.make()
-        assert prof.cpi("engine") == pytest.approx(3.0)
-        assert prof.cpi() == pytest.approx(5.0)
+        rows = characterize(self.make())
+        assert rows["engine"].cpi == pytest.approx(3.0)
+        assert rows["overall"].cpi == pytest.approx(5.0)
 
     def test_events_per_work(self):
-        prof = self.make()
-        assert prof.events_per_work("engine", CYCLES) == pytest.approx(0.3)
+        result = self.make()
+        assert result.work_bits == 1000
+        assert result.events_per_bit("engine", CYCLES) == pytest.approx(0.3)
 
 
 class TestOprofileView:
