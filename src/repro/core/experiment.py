@@ -807,7 +807,8 @@ class ResultCache:
             return
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(result.to_dict(), fh)
+                # json.dumps takes the C encoder; json.dump never does.
+                fh.write(json.dumps(result.to_dict()))
             os.replace(tmp, self._path(config))
         except BaseException as exc:
             try:

@@ -88,7 +88,8 @@ typedef struct {
     int64_t bp_capacity;
     Py_buffer tot_v;
     int64_t *totals;
-    int64_t domain, mybit;
+    int64_t domain;
+    uint64_t mybit; /* the domain's sharer bit */
 } CpuC;
 
 typedef struct {
@@ -109,7 +110,9 @@ typedef struct {
     /* Memory system + directory. */
     PyObject *memsys, *directory;
     Py_buffer dir_keys_v, dir_sharers_v, dir_owner_v, dir_meta_v;
-    int64_t *dir_keys, *dir_sharers, *dir_owner, *dir_meta;
+    int64_t *dir_keys, *dir_meta;
+    uint64_t *dir_sharers;
+    int8_t *dir_owner;
     int64_t dir_mask, dir_shift, dir_gen_seen;
     Py_buffer ms_stats_v;
     int64_t *ms_stats;
@@ -370,8 +373,9 @@ dir_grow(EngineState *st)
 {
     Py_buffer old_k = st->dir_keys_v, old_s = st->dir_sharers_v;
     Py_buffer old_o = st->dir_owner_v;
-    int64_t *okeys = st->dir_keys, *osharers = st->dir_sharers;
-    int64_t *oowner = st->dir_owner;
+    int64_t *okeys = st->dir_keys;
+    uint64_t *osharers = st->dir_sharers;
+    int8_t *oowner = st->dir_owner;
     int64_t old_mask = st->dir_mask, old_shift = st->dir_shift;
     int64_t old_slots = old_mask + 1;
     memset(&st->dir_keys_v, 0, sizeof(Py_buffer));
@@ -420,11 +424,12 @@ dir_grow(EngineState *st)
     return 0;
 }
 
-/* Insert an absent line; returns its slot, or -2 on Python error. */
+/* Insert an absent line; returns its slot, or -2 on Python error.
+ * Grows past three-quarter load, as LineDirectory.insert does. */
 static int64_t
-dir_insert(EngineState *st, int64_t line, int64_t sharers, int64_t owner)
+dir_insert(EngineState *st, int64_t line, uint64_t sharers, int64_t owner)
 {
-    if ((st->dir_meta[DIR_COUNT_I] + 1) * 2 > st->dir_mask + 1 &&
+    if ((st->dir_meta[DIR_COUNT_I] + 1) * 4 > (st->dir_mask + 1) * 3 &&
         dir_grow(st) < 0)
         return -2;
     uint64_t mask = (uint64_t)st->dir_mask;
@@ -433,7 +438,7 @@ dir_insert(EngineState *st, int64_t line, int64_t sharers, int64_t owner)
         idx = (idx + 1) & mask;
     st->dir_keys[idx] = line;
     st->dir_sharers[idx] = sharers;
-    st->dir_owner[idx] = owner;
+    st->dir_owner[idx] = (int8_t)owner;
     st->dir_meta[DIR_COUNT_I]++;
     return (int64_t)idx;
 }
@@ -457,11 +462,11 @@ make_exclusive_c(EngineState *st, CpuC *me, int64_t line)
         idx = dir_insert(st, line, me->mybit, me->domain);
         return idx == -2 ? -2 : 0;
     }
-    int64_t others = st->dir_sharers[idx] & ~me->mybit;
+    uint64_t others = st->dir_sharers[idx] & ~me->mybit;
     int64_t invalidated = 0;
     if (others) {
         for (int d = 0; d < st->n_domains; d++) {
-            if (others & ((int64_t)1 << d)) {
+            if (others & ((uint64_t)1 << d)) {
                 domain_invalidate(st, d, line);
                 invalidated++;
             }
@@ -469,7 +474,7 @@ make_exclusive_c(EngineState *st, CpuC *me, int64_t line)
         st->ms_stats[MS_INV_I] += invalidated;
     }
     st->dir_sharers[idx] = me->mybit;
-    st->dir_owner[idx] = me->domain;
+    st->dir_owner[idx] = (int8_t)me->domain;
     return invalidated;
 }
 
@@ -594,7 +599,7 @@ walk_read(EngineState *st, CpuC *c, int64_t addr, int64_t size,
             cycles += st->llc_miss;
             continue;
         }
-        int64_t sharers = st->dir_sharers[idx];
+        uint64_t sharers = st->dir_sharers[idx];
         if (!(sharers & c->mybit)) {
             /* Provably cold here (sharer bit clear): fill through. */
             seg_fill_front(c->l2t, (line & c->mask2) * c->ways2, c->ways2, line);
@@ -684,7 +689,7 @@ walk_write(EngineState *st, CpuC *c, int64_t addr, int64_t size,
                 return -1;
             continue;
         }
-        int64_t sharers = st->dir_sharers[idx];
+        uint64_t sharers = st->dir_sharers[idx];
         if (!(sharers & c->mybit)) {
             /* Cold here: fill through, then claim exclusivity. */
             seg_fill_front(c->l2t, (line & c->mask2) * c->ways2, c->ways2, line);
@@ -1116,9 +1121,9 @@ mod_dma_write(PyObject *Py_UNUSED(module), PyObject *args)
             n++;
             int64_t idx = dir_find(st, line);
             if (idx >= 0 && st->dir_sharers[idx]) {
-                int64_t sharers = st->dir_sharers[idx];
+                uint64_t sharers = st->dir_sharers[idx];
                 for (int d = 0; d < st->n_domains; d++) {
-                    if (sharers & ((int64_t)1 << d)) {
+                    if (sharers & ((uint64_t)1 << d)) {
                         domain_invalidate(st, d, line);
                         invalidations++;
                     }
@@ -1151,10 +1156,10 @@ mod_dma_read(PyObject *Py_UNUSED(module), PyObject *args)
             n++;
             int64_t idx = dir_find(st, line);
             if (idx >= 0) {
-                int64_t sharers = st->dir_sharers[idx];
+                uint64_t sharers = st->dir_sharers[idx];
                 if (st->dma_read_invalidates && sharers) {
                     for (int d = 0; d < st->n_domains; d++) {
-                        if (sharers & ((int64_t)1 << d)) {
+                        if (sharers & ((uint64_t)1 << d)) {
                             domain_invalidate(st, d, line);
                             invalidations++;
                         }
@@ -1312,7 +1317,11 @@ bind_cpu(EngineState *st, int i, PyObject *cpu)
         bind_buf(cpu, "totals", &c->tot_v, &c->totals) < 0 ||
         get_i64(cpu, "domain", &c->domain) < 0)
         return -1;
-    c->mybit = (int64_t)1 << c->domain;
+    if (c->domain < 0 || c->domain >= 64) { /* one uint64 sharer bit each */
+        PyErr_SetString(PyExc_ValueError, "coherence domain outside 0..63");
+        return -1;
+    }
+    c->mybit = (uint64_t)1 << c->domain;
     c->bp = PyObject_GetAttrString(cpu, "branch_predictor");
     if (c->bp == NULL)
         return -1;

@@ -20,7 +20,10 @@ Machine` (and the config plumbing above it) wins; otherwise the
 build and load the extension -- ``auto`` falls back to the pure engine
 silently, ``compiled`` falls back with a :class:`RuntimeWarning` so an
 explicit request never fails hard (CI runs the matrix on machines with
-and without a toolchain).
+and without a toolchain).  A machine with more than
+:data:`~repro.mem.directory.MAX_DOMAINS` coherence domains runs pure:
+``compiled`` refuses it, ``auto`` falls back.  ``REPRO_ENGINE_CFLAGS``
+appends compiler flags (for a sanitizer build); they join the cache key.
 """
 
 import hashlib
@@ -31,6 +34,8 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+
+from repro.mem.directory import MAX_DOMAINS
 
 _VALID = ("pure", "compiled", "auto")
 
@@ -63,7 +68,9 @@ def _build_and_load():
         source = f.read()
     tag = "%s-%d.%d" % (sys.implementation.name, sys.version_info[0],
                         sys.version_info[1])
-    key = hashlib.sha256(source + tag.encode()).hexdigest()[:16]
+    extra = os.environ.get("REPRO_ENGINE_CFLAGS", "").split()
+    key = hashlib.sha256(
+        source + tag.encode() + " ".join(extra).encode()).hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     cache = _cache_dir()
     mod_path = os.path.join(cache, "_enginecore_%s%s" % (key, suffix))
@@ -76,7 +83,7 @@ def _build_and_load():
             "-O2", "-fPIC", "-shared",
             "-o", tmp_path, src_path,
             "-I", include,
-        ]
+        ] + extra
         try:
             subprocess.run(
                 cmd, check=True, capture_output=True, timeout=120
@@ -116,18 +123,22 @@ def load_core():
     return _core_module
 
 
-def resolve_engine(engine=None):
+def resolve_engine(engine=None, n_domains=1):
     """Resolve an engine request to ``(name, core_module_or_None)``.
 
     ``engine`` overrides ``$REPRO_ENGINE``; the default is ``pure``.
-    Returns ``("pure", None)`` or ``("compiled", module)``.
+    ``n_domains`` counts the machine's coherence domains.  Returns
+    ``("pure", None)`` or ``("compiled", module)``.
     """
     choice = engine if engine is not None else os.environ.get(
         "REPRO_ENGINE", "pure")
     if choice not in _VALID:
         raise ValueError(
             "unknown engine %r; choose from %s" % (choice, "/".join(_VALID)))
-    if choice == "pure":
+    if choice == "compiled" and n_domains > MAX_DOMAINS:
+        raise ValueError("the compiled engine models at most %d coherence "
+                         "domains, got %d" % (MAX_DOMAINS, n_domains))
+    if choice == "pure" or n_domains > MAX_DOMAINS:
         return "pure", None
     core = load_core()
     if core is not None:

@@ -150,7 +150,9 @@ class Machine:
         ``"auto"`` (compiled if available, silently pure otherwise).
         ``None`` defers to ``$REPRO_ENGINE``, defaulting to pure.  Both
         engines produce bit-identical results; :attr:`charge_engine`
-        records which one actually runs."""
+        records which one actually runs.  Past 64 physical cores (one
+        coherence domain each) ``"compiled"`` raises
+        :class:`ValueError` and ``"auto"`` runs pure."""
         self.physical_cpus = n_cpus
         self.hyperthreading = hyperthreading
         if hyperthreading:
@@ -161,7 +163,8 @@ class Machine:
         self.rng = RngStreams(seed)
         self.space = AddressSpace()
         self.functions = FunctionTable(self.space)
-        self.charge_engine, core = resolve_engine(engine)
+        self.charge_engine, core = resolve_engine(
+            engine, n_domains=self.physical_cpus)
         self.costs = costs or CostModel()
         cpu_params = cpu_params or CpuParams()
         self.cpus = []

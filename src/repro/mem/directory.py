@@ -4,9 +4,10 @@ The reference :class:`~repro.mem.system.MemorySystem` keeps its
 directory as ``{line: DirectoryEntry([sharers, owner])}``.  That is
 ideal for Python (one dict probe per line) but opaque to compiled
 code.  This module stores the same information in three parallel
-``array('q')`` columns managed as an open-addressing hash table, so a
-C extension can bind the buffers once and probe them with raw int64
-loads.
+columns -- ``keys`` (``array('q')``), ``sharers`` (``array('Q')``) and
+``owner`` (``array('b')``), 17 bytes a slot -- managed as an
+open-addressing hash table, so a C extension can bind the buffers once
+and probe them with raw loads.
 
 Semantics mirror the reference exactly:
 
@@ -17,15 +18,16 @@ Semantics mirror the reference exactly:
 * ``sharers`` is a bitmask of coherence domains, ``owner`` is a domain
   index or -1, exactly the two fields of ``DirectoryEntry``.
 
-Growth doubles the table and rehashes; a generation counter in the
-bound ``_meta`` buffer tells compiled code to re-acquire the (new)
-array buffers.  The compiled engine grows a bound directory itself:
-it calls :meth:`LineDirectory._alloc` for the doubled columns and
-rehashes into them from the old buffers in C.  :meth:`LineDirectory.
-_grow` is the interpreted oracle of that rehash; both reinsert in old
-storage order, so they produce the same table slot for slot.  Slot
-order is otherwise an implementation detail -- nothing observable
-iterates the table in storage order.
+The table doubles and rehashes once an insert would take it past
+three-quarter load; a generation counter in the bound ``_meta`` buffer
+tells compiled code to re-acquire the (new) array buffers.  The
+compiled engine grows a bound directory itself: it calls
+:meth:`LineDirectory._alloc` for the doubled columns and rehashes into
+them from the old buffers in C.  :meth:`LineDirectory._grow` is the
+interpreted oracle of that rehash; both reinsert in old storage order,
+so they produce the same table slot for slot.  Slot order is otherwise
+an implementation detail -- nothing observable iterates the table in
+storage order.
 """
 
 from array import array
@@ -36,6 +38,8 @@ from array import array
 #: linear probing sees short chains instead of zone-length clusters.
 _FIB = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+MAX_DOMAINS = 64  #: one ``sharers`` bit per coherence domain
 
 #: ``_meta`` layout (bound by the compiled engine).
 META_COUNT = 0
@@ -55,8 +59,8 @@ class LineDirectory:
 
     def _alloc(self, slots):
         self._keys = array("q", [-1]) * slots
-        self._sharers = array("q", [0]) * slots
-        self._owner = array("q", [-1]) * slots
+        self._sharers = array("Q", [0]) * slots
+        self._owner = array("b", [-1]) * slots
         self._mask = slots - 1
         self._shift = 64 - slots.bit_length() + 1
 
@@ -80,7 +84,7 @@ class LineDirectory:
 
     def insert(self, line, sharers, owner):
         """Insert an absent ``line``; returns its slot index."""
-        if (self._meta[META_COUNT] + 1) * 2 > self._mask + 1:
+        if (self._meta[META_COUNT] + 1) * 4 > (self._mask + 1) * 3:
             self._grow()
         idx = self._slot(line)
         self._keys[idx] = line

@@ -55,20 +55,12 @@ def page_span(addr, size):
 class MemoryObject:
     """A named, contiguous allocation in the simulated address space."""
 
-    __slots__ = ("name", "addr", "size", "prefix")
+    __slots__ = ("name", "addr", "size")
 
     def __init__(self, name, addr, size):
         self.name = name
         self.addr = addr
         self.size = size
-        #: ``{n: field(0, n)}`` for the static prefixes hot code
-        #: charges, once :meth:`precompute_prefixes` has run.
-        self.prefix = None
-
-    @property
-    def end(self):
-        """One past the last byte of the object."""
-        return self.addr + self.size
 
     def field(self, offset, size):
         """Return ``(addr, size)`` for a sub-range of the object.
@@ -83,12 +75,6 @@ class MemoryObject:
                 % (offset, size, self.name, self.size)
             )
         return (self.addr + offset, size)
-
-    def precompute_prefixes(self, sizes):
-        """Fill :attr:`prefix` with ``field(0, n)`` for each ``n`` in
-        ``sizes``: built once, each still bounds-checked by
-        :meth:`field`, here rather than on every use."""
-        self.prefix = {size: self.field(0, size) for size in sizes}
 
     def lines(self, offset=0, size=None):
         """Cache-line indices of a sub-range (whole object by default)."""
@@ -140,14 +126,3 @@ class AddressSpace:
     def alloc_page_aligned(self, name, size, zone="kernel"):
         """Allocate rounding the start to a page boundary (payload buffers)."""
         return self.alloc(name, size, zone=zone, align=PAGE_SIZE)
-
-    def total_allocated(self, zone=None):
-        """Bytes handed out, optionally restricted to one zone."""
-        if zone is None:
-            return sum(obj.size for obj in self._objects)
-        base = {
-            "text": KERNEL_TEXT_BASE,
-            "kernel": KERNEL_DATA_BASE,
-            "user": USER_BASE,
-        }[zone]
-        return self._cursors[zone] - base

@@ -9,6 +9,9 @@ Buffer-mgmt improvement: under full affinity a connection's buffers
 cycle through a single CPU's freelist and stay cache-hot; without
 affinity they are allocated on one CPU, freed on the other, and every
 reuse begins with coherence misses.
+
+Slab objects carry no range tables: :meth:`SkBuff.head_range` and
+:meth:`SkBuff.header_range` build their ``(addr, size)`` per call.
 """
 
 #: Bound on a per-CPU freelist before overflowing to the global list.
@@ -19,20 +22,15 @@ SKB_HEAD_SIZE = 256
 
 #: The leading byte counts of the metadata the stack charges
 #: (:meth:`SkBuff.head_range`).
-HEAD_RANGE_SIZES = (64, 128, SKB_HEAD_SIZE)
+HEAD_RANGE_SIZES = frozenset((64, 128, SKB_HEAD_SIZE))
 
 
 class SlabCache:
     """A size-class allocator with per-CPU freelists."""
 
-    def __init__(self, name, obj_size, space, n_cpus, prefix_sizes=()):
+    def __init__(self, name, obj_size, space, n_cpus):
         self.name = name
         self.obj_size = obj_size
-        #: Leading ranges precomputed on every object this cache
-        #: creates (:meth:`~repro.mem.layout.MemoryObject.
-        #: precompute_prefixes`); objects are recycled, so each is
-        #: built once per object, not per allocation.
-        self.prefix_sizes = prefix_sizes
         self._space = space
         self._per_cpu = [[] for _ in range(n_cpus)]
         self._global = []
@@ -63,8 +61,6 @@ class SlabCache:
             obj = self._space.alloc(
                 "%s#%d" % (self.name, self.created), self.obj_size
             )
-            if self.prefix_sizes:
-                obj.precompute_prefixes(self.prefix_sizes)
         self._free_ids.discard(id(obj))
         return obj
 
@@ -157,15 +153,15 @@ class SkBuff:
         return self.data.field(self.HEADER_BYTES + offset, size)
 
     def header_range(self):
-        """(addr, size) of the protocol header area (precomputed on
-        slab data objects)."""
-        return self.data.prefix[self.HEADER_BYTES]
+        """(addr, size) of the protocol header area."""
+        return (self.data.addr, self.HEADER_BYTES)
 
     def head_range(self, size=SKB_HEAD_SIZE):
         """(addr, size) of the first ``size`` bytes of the sk_buff
-        metadata, one of :data:`HEAD_RANGE_SIZES` (precomputed on slab
-        head objects)."""
-        return self.head.prefix[size]
+        metadata, one of :data:`HEAD_RANGE_SIZES`."""
+        if size not in HEAD_RANGE_SIZES:
+            raise ValueError("no sk_buff head range of %r bytes" % (size,))
+        return (self.head.addr, size)
 
     def room(self, mss):
         """Payload bytes this skb can still take (transmit coalescing)."""
@@ -183,12 +179,10 @@ class SkbPools:
     def __init__(self, machine, params):
         self.machine = machine
         self.head_cache = SlabCache(
-            "skb_head", SKB_HEAD_SIZE, machine.space, machine.n_cpus,
-            prefix_sizes=HEAD_RANGE_SIZES,
+            "skb_head", SKB_HEAD_SIZE, machine.space, machine.n_cpus
         )
         self.data_cache = SlabCache(
-            "skb_data", params.skb_truesize, machine.space, machine.n_cpus,
-            prefix_sizes=(SkBuff.HEADER_BYTES,),
+            "skb_data", params.skb_truesize, machine.space, machine.n_cpus
         )
         machine.add_resettable(self.head_cache)
         machine.add_resettable(self.data_cache)

@@ -86,17 +86,19 @@ def cmd_runs_resume(args):
         "offload": main_cli.cmd_offload,
         "diagnose": main_cli.cmd_diagnose,
     }
+    # Read-only first: a run with no driver keeps its manifest as is.
     try:
-        store = RunStore.resume(args.run_id, root=args.root)
+        command = RunStore.load(
+            args.run_id, root=args.root).manifest.get("command")
+        func = dispatch.get(command)
+        if func is not None:
+            store = RunStore.resume(args.run_id, root=args.root)
     except (RunStoreError, LockHeldError) as exc:
         _err(str(exc))
         return 2
-    command = store.manifest.get("command")
-    func = dispatch.get(command)
     if func is None:
         _err("run %s was produced by %r, which has no resume driver"
              % (args.run_id, command))
-        store.finalize("failed")
         return 2
     executed, replayed = summarize_manifest(store.manifest)
     _err("resuming %s (%s): %d cell(s) journaled, %d executed / %d "

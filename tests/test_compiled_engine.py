@@ -260,7 +260,7 @@ class TestDirectoryGrowth:
                 cpu0.charge(fn, 10, reads=[(line * CACHE_LINE, 8)])
                 inserted.append((line, 1 << cpu0.domain, -1))
         assert len(small) == len(inserted) == 200
-        assert small._meta[META_GENERATION] >= 4  # grew 16 -> 512
+        assert small._meta[META_GENERATION] >= 4  # grew 16 -> 256
         oracle = LineDirectory(initial_slots=16)
         for line, sharers, owner in inserted:
             oracle.insert(line, sharers, owner)
@@ -268,6 +268,64 @@ class TestDirectoryGrowth:
         assert small._keys == oracle._keys
         assert small._sharers == oracle._sharers
         assert small._owner == oracle._owner
+
+
+def _read_then_write(machine, line):
+    """Every CPU reads ``line``, then the last CPU writes it."""
+    fn = machine.functions.register("share", "engine")
+    for cpu in machine.cpus:
+        cpu.charge(fn, 10, reads=[(line * CACHE_LINE, 8)])
+    machine.cpus[-1].charge(fn, 10, writes=[(line * CACHE_LINE, 8)])
+
+
+class TestDomainLimit:
+    """The compiled directory has one sharer bit per domain in 64."""
+
+    @needs_compiled
+    def test_64_domains_match_pure(self):
+        states = []
+        for engine in ("pure", "compiled"):
+            machine = Machine(n_cpus=64, engine=engine)
+            assert machine.charge_engine == engine
+            _read_then_write(machine, 1 << 20)
+            shared = (1 << 21) + 3
+            fn = machine.functions.register("read", "engine")
+            for cpu in machine.cpus:
+                cpu.charge(fn, 10, reads=[(shared * CACHE_LINE, 8)])
+            memsys = machine.memsys
+            states.append([
+                memsys.sharers_of(1 << 20), memsys.owner_of(1 << 20),
+                memsys.sharers_of(shared), memsys.owner_of(shared),
+                memsys.invalidations,
+            ])
+        assert states[0] == states[1]
+        assert states[1] == [1 << 63, 63, (1 << 64) - 1, -1, 63]
+
+    def test_65_domains_refused(self):
+        with pytest.raises(ValueError, match="at most 64 coherence domains"):
+            Machine(n_cpus=65, engine="compiled")
+        assert Machine(n_cpus=65, engine="auto").charge_engine == "pure"
+
+
+class TestBuildFlags:
+    def test_extra_flags_reach_compiler_and_cache_key(self, monkeypatch,
+                                                      tmp_path):
+        commands = []
+
+        def fake_run(cmd, **kwargs):
+            commands.append(cmd)
+            raise OSError("no compiler in this test")
+
+        monkeypatch.setattr(engine_mod.subprocess, "run", fake_run)
+        monkeypatch.setenv("REPRO_ENGINE_CACHE", str(tmp_path))
+        for flags in ("", "-O1 -fsanitize=undefined"):
+            monkeypatch.setenv("REPRO_ENGINE_CFLAGS", flags)
+            with pytest.raises(OSError):
+                engine_mod._build_and_load()
+        assert commands[1][-2:] == ["-O1", "-fsanitize=undefined"]
+        plain_out, flagged_out = (cmd[cmd.index("-o") + 1]
+                                  for cmd in commands)
+        assert plain_out != flagged_out
 
 
 class TestNoToolchain:

@@ -48,7 +48,7 @@ from repro.mem.arraysystem import (
     MS_INVALIDATIONS,
     CompiledMemorySystem,
 )
-from repro.mem.directory import LineDirectory
+from repro.mem.directory import META_GENERATION, LineDirectory
 from repro.mem.layout import CACHE_LINE, PAGE_SIZE, line_span
 from repro.mem.system import MemorySystem
 from repro.prof.accounting import ExactAccounting
@@ -481,6 +481,27 @@ class TestLineDirectory:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             LineDirectory(initial_slots=48)
+
+    def test_column_widths(self):
+        directory = LineDirectory(initial_slots=16)
+        columns = (directory._keys, directory._sharers, directory._owner)
+        assert [col.itemsize for col in columns] == [8, 8, 1]
+        # Every domain bit round-trips, the 64th included.
+        directory.insert(5, (1 << 64) - 1, 63)
+        directory.insert(6, 1 << 63, -1)
+        assert directory.get(5) == ((1 << 64) - 1, 63)
+        assert directory.get(6) == (1 << 63, -1)
+
+    def test_grows_past_three_quarter_load(self):
+        directory = LineDirectory(initial_slots=16)
+        for line in range(12):
+            directory.insert(line, 1, -1)
+        assert len(directory._keys) == 16
+        assert directory._meta[META_GENERATION] == 0
+        directory.insert(12, 1, -1)
+        assert len(directory._keys) == 32
+        assert directory._meta[META_GENERATION] == 1
+        assert all(directory.get(line) == (1, -1) for line in range(13))
 
 
 def _spec(name, bin="engine"):

@@ -20,6 +20,7 @@ from repro.net.params import (
     base_instructions,
     register_profiles,
 )
+from repro.net.skbuff import HEAD_RANGE_SIZES, SKB_HEAD_SIZE, SkbPools, SkBuff
 
 
 class TestPacketHelpers:
@@ -148,3 +149,20 @@ class TestSoftnetData:
         a = SoftnetData(machine, 0)
         b = SoftnetData(machine, 1)
         assert a.head_range()[0] != b.head_range()[0]
+
+
+class TestSkBuffRanges:
+    def test_ranges_are_object_prefixes(self):
+        machine = Machine(n_cpus=2, seed=1)
+        skb = SkbPools(machine, NetParams()).alloc_nocharge(0)
+        for size in sorted(HEAD_RANGE_SIZES):
+            assert skb.head_range(size) == skb.head.field(0, size)
+        assert skb.head_range() == skb.head.field(0, SKB_HEAD_SIZE)
+        assert skb.header_range() == skb.data.field(0, SkBuff.HEADER_BYTES)
+
+    def test_head_range_refuses_other_sizes(self):
+        machine = Machine(n_cpus=2, seed=1)
+        skb = SkbPools(machine, NetParams()).alloc_nocharge(0)
+        for size in (0, 32, 192, SKB_HEAD_SIZE + 64):
+            with pytest.raises(ValueError):
+                skb.head_range(size)

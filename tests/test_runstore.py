@@ -402,6 +402,13 @@ class TestCachePutDegradation:
             warnings_mod.simplefilter("error")
             cache.put(config, result)
 
+    def test_file_bytes_are_json_dumps(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        config, result = _tiny_config(), _tiny_result()
+        cache.put(config, result)
+        with open(cache._path(config), "rb") as fh:
+            assert fh.read() == json.dumps(result.to_dict()).encode()
+
     def test_write_failure_removes_tempfile(self, tmp_path,
                                             monkeypatch):
         directory = tmp_path / "cache"
@@ -559,6 +566,24 @@ class TestIndexAndCli:
         assert main(["runs", "--root", root, "gc", "--keep", "1"]) == 0
         kept = [run_id for run_id, _, _ in list_runs(root)]
         assert kept == ["r2"]
+
+    def test_resume_without_driver_leaves_run_untouched(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+
+        root = str(tmp_path)
+        store = RunStore.create("retired-study", root=root, run_id="old")
+        store.finalize("completed")
+        manifest_path = os.path.join(root, "old", "manifest.json")
+        with open(manifest_path, "rb") as fh:
+            before = fh.read()
+        assert main(["runs", "--root", root, "resume", "old"]) == 2
+        assert "no resume driver" in capsys.readouterr().err
+        with open(manifest_path, "rb") as fh:
+            assert fh.read() == before
+        manifest = RunStore.load("old", root=root).manifest
+        assert manifest["status"] == "completed"
+        assert len(manifest["sessions"]) == 1
 
     def test_query_sql_rejects_non_select(self, tmp_path):
         from repro.runstore.index import query_sql
