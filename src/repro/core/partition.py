@@ -35,16 +35,12 @@ APPLICATION_FUNCTIONS = frozenset((
 class Partition:
     """Cycle shares of the paper's three workload components."""
 
-    __slots__ = ("fast_path", "setup", "application", "other_cycles",
-                 "total_cycles")
+    __slots__ = ("fast_path", "setup", "application")
 
-    def __init__(self, fast_path, setup, application, other_cycles,
-                 total_cycles):
+    def __init__(self, fast_path, setup, application):
         self.fast_path = fast_path
         self.setup = setup
         self.application = application
-        self.other_cycles = other_cycles
-        self.total_cycles = total_cycles
 
     def shares(self):
         return {
@@ -67,16 +63,14 @@ def partition_cycles(result):
     Idle cycles are excluded; scheduler/interrupt plumbing counts as
     fast path (it scales with packet activity).
     """
-    fast = setup = app = other = 0
+    fast = setup = app = 0
     for name, (bin, vec) in result.function_events().items():
         cycles = vec[CYCLES]
         if name in SETUP_FUNCTIONS:
             setup += cycles
         elif name in APPLICATION_FUNCTIONS:
             app += cycles
-        elif bin == "other":
-            other += cycles
-        else:
+        elif bin != "other":
             fast += cycles
     total = fast + setup + app
     if total == 0:
@@ -85,8 +79,6 @@ def partition_cycles(result):
         fast_path=fast / float(total),
         setup=setup / float(total),
         application=app / float(total),
-        other_cycles=other,
-        total_cycles=total,
     )
 
 

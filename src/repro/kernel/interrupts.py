@@ -24,8 +24,6 @@ class IrqLine:
         #: device, drain rings, and raise softirqs).
         self.handler = handler
         self.smp_affinity = smp_affinity
-        self.raised = 0
-        self.delivered = 0
 
     def set_affinity(self, mask):
         """Write ``/proc/irq/<n>/smp_affinity``."""

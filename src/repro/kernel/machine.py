@@ -92,7 +92,6 @@ class CpuState:
         "halted",
         "need_resched",
         "spinning_lock",
-        "spin_start",
         "spin_is_softirq",
         "step_pending",
         "expired_timers",
@@ -112,7 +111,6 @@ class CpuState:
         self.halted = True
         self.need_resched = False
         self.spinning_lock = None
-        self.spin_start = 0
         self.spin_is_softirq = False
         self.step_pending = False
         self.expired_timers = []
@@ -370,15 +368,12 @@ class Machine:
         self.scheduler.wakeups = 0
         self.scheduler.remote_wakeups = 0
         self.scheduler.steals = 0
-        self.scheduler.balance_moves = 0
         for cpu in self.cpus:
             cpu.busy_cycles = 0
             for i in range(len(cpu.totals)):
                 cpu.totals[i] = 0
         for task in self.tasks:
             task.migrations = 0
-            task.dispatches = 0
-            task.blocks = 0
         for obj in self._resettables:
             obj.reset_stats()
         self.softirqs.raised = [0] * len(self.softirqs.raised)
@@ -515,8 +510,6 @@ class Machine:
     def raise_irq(self, vector):
         """A device asserts its line (called from engine events)."""
         cpu_index = self.ioapic.route(vector)
-        line = self.ioapic.get(vector)
-        line.raised += 1
         if self.tracer is not None:
             self.tracer.emit("irq_raise", cpu=cpu_index, vector=vector)
         state = self.states[cpu_index]
@@ -534,7 +527,6 @@ class Machine:
         while state.pending_irqs:
             vector = state.pending_irqs.pop(0)
             line = self.ioapic.get(vector)
-            line.delivered += 1
             self.procstat.count(vector, cpu.index)
             # The PMU's clear burst around an interrupt is sampled with
             # skid: roughly half attributes to the interrupted code and
@@ -742,7 +734,6 @@ class Machine:
                                      ts=cpu.now, lock=lock.name)
                 lock.waiters.append(cpu.index)
                 state.spinning_lock = lock
-                state.spin_start = cpu.now
                 state.spin_is_softirq = is_softirq
                 return False
             if kind == "block":
@@ -760,7 +751,6 @@ class Machine:
                 task = state.current
                 waitqueue.add(task)
                 task.state = TASK_BLOCKED
-                task.blocks += 1
                 self._undispatch(cpu, state)
                 return True
             if kind == "resched":
@@ -838,7 +828,6 @@ class Machine:
         task.state = TASK_RUNNING
         task.prev_cpu = cpu.index
         task.last_dispatch = cpu.now
-        task.dispatches += 1
         state.current = task
         self.scheduler.current[cpu.index] = task
         state.last_task = task
@@ -846,7 +835,6 @@ class Machine:
 
     def _undispatch(self, cpu, state):
         task = state.current
-        task.total_ran += cpu.now - task.last_dispatch
         task.prev_cpu = cpu.index
         if task.state == TASK_RUNNING:
             task.state = TASK_READY
@@ -856,7 +844,6 @@ class Machine:
     def _task_exited(self, cpu, state):
         task = state.current
         task.state = TASK_DEAD
-        task.total_ran += cpu.now - task.last_dispatch
         state.current = None
         self.scheduler.current[cpu.index] = None
 

@@ -85,7 +85,6 @@ class Scheduler:
         self.wakeups = 0
         self.remote_wakeups = 0
         self.steals = 0
-        self.balance_moves = 0
 
     # ------------------------------------------------------------------
     # Queue primitives.
@@ -222,7 +221,6 @@ class Scheduler:
             candidate.migrations += 1
             self._trace_migrate(candidate, busiest, cpu_index)
             self.enqueue(candidate, cpu_index)
-            self.balance_moves += 1
             moved += 1
             diff -= 2
         return moved

@@ -45,9 +45,6 @@ class SoftirqTable:
             )
         return factory
 
-    def registered(self, index):
-        return self._actions[index] is not None
-
 
 #: All 2**N_SOFTIRQS decode results, precomputed: the pending mask is
 #: decoded on every softirq pass, and the table turns that into a tuple

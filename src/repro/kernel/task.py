@@ -39,15 +39,10 @@ class Task:
         #: CPU the task last ran on -- the scheduler's cache-warmth hint.
         self.prev_cpu = 0
         #: Cycle at which the task was last dispatched (for preemption
-        #: decisions and run-time accounting).
+        #: decisions).
         self.last_dispatch = 0
-        #: The wait queue the task is currently sleeping on, if any.
-        self.waiting_on = None
         # Statistics.
         self.migrations = 0
-        self.dispatches = 0
-        self.blocks = 0
-        self.total_ran = 0
 
     def set_affinity(self, mask):
         """Pin the task to the CPUs in ``mask`` (must be non-empty)."""
@@ -90,28 +85,22 @@ class WaitQueue:
         if task in self.waiters:
             raise RuntimeError("%r already waiting on %s" % (task, self.name))
         self.waiters.append(task)
-        task.waiting_on = self
 
     def pop_all(self):
         """Remove and return every waiter (wake-all semantics)."""
         tasks, self.waiters = self.waiters, []
-        for task in tasks:
-            task.waiting_on = None
         return tasks
 
     def pop_one(self):
         """Remove and return the longest-waiting task, or ``None``."""
         if not self.waiters:
             return None
-        task = self.waiters.pop(0)
-        task.waiting_on = None
-        return task
+        return self.waiters.pop(0)
 
     def remove(self, task):
         """Withdraw a specific task (e.g. killed while sleeping)."""
         if task in self.waiters:
             self.waiters.remove(task)
-            task.waiting_on = None
 
     def __len__(self):
         return len(self.waiters)

@@ -3,7 +3,9 @@
 ``dev_queue_xmit`` serializes transmitters on the device's TX lock --
 under no affinity, a process transmitting on CPU1 and ACK-driven
 transmits from softirq on CPU0 contend here, one of the lock-bin
-costs full affinity removes.
+costs full affinity removes.  It is the one transmit hand-off: a
+single frame and an LSO burst take the same lock, descriptor and
+doorbell.
 
 The softnet structures mirror 2.4: a per-CPU *backlog* queue fed by
 ``netif_rx`` in the top half and drained by ``net_rx_action``, and a
@@ -12,11 +14,25 @@ per-CPU *completion* queue of transmitted clones freed by
 """
 
 
-def dev_queue_xmit(ctx, stack, nic, skb, packet):
-    """Queue a frame to the NIC: lock, descriptor fill, doorbell."""
+def dev_queue_xmit(ctx, stack, nic, skb, frames, lso=False):
+    """Queue frames to the NIC: lock, descriptor fill, doorbell.
+
+    ``frames`` is a list of ``(skb, packet)`` for the wire: one frame,
+    or under LSO (``lso=True``) a whole burst the NIC engine segments
+    (:meth:`repro.net.nic.Nic.hw_xmit`).  ``skb`` is what the
+    descriptor points at and the TX-completion interrupt returns: the
+    driver's clone of a data segment, an ACK or control skb, or the
+    clone standing in for an LSO burst's descriptor chain.  One lock,
+    descriptor and doorbell cover the call either way.
+
+    The Flow Director ATR sampler sees one transmit per call, so one
+    per LSO burst -- real LSO NICs sample the header the driver handed
+    them, which is exactly one header per large send.
+    """
     specs = stack.specs
     instr = stack.instr
-    tx_lock = nic.tx_lock_for(packet.conn_id)
+    conn_id = frames[0][1].conn_id
+    tx_lock = nic.tx_lock_for(conn_id)
     yield ("spin", tx_lock)
     ctx.charge(
         specs["dev_queue_xmit"],
@@ -34,45 +50,10 @@ def dev_queue_xmit(ctx, stack, nic, skb, packet):
         writes=[desc],
         extra_cycles=250,
     )
-    nic.hw_xmit(skb, packet, ctx.now)
+    nic.hw_xmit(frames, skb, ctx.now, lso)
     # Flow Director ATR sampling: the NIC inspects outgoing frames and
     # (every Nth per flow) retargets the flow's RX queue toward the
     # transmitting CPU.  ``steering`` is None on single-queue devices.
-    steering = nic.steering
-    if steering is not None:
-        steering.sample_tx(packet.conn_id, ctx.cpu_index)
-    ctx.unlock(tx_lock)
-
-
-def dev_queue_xmit_lso(ctx, stack, nic, desc_skb, frames):
-    """LSO doorbell: one lock / descriptor chain / doorbell covers a
-    whole burst of segments; the NIC engine segments it
-    (:meth:`repro.net.nic.Nic.lso_xmit`).
-
-    The Flow Director ATR sampler sees one transmit per burst rather
-    than one per frame -- real LSO NICs sample the header the driver
-    handed them, which is exactly one header per large send.
-    """
-    specs = stack.specs
-    instr = stack.instr
-    conn_id = frames[0][1].conn_id
-    tx_lock = nic.tx_lock_for(conn_id)
-    yield ("spin", tx_lock)
-    ctx.charge(
-        specs["dev_queue_xmit"],
-        instr["dev_queue_xmit"],
-        reads=[desc_skb.head_range(64)],
-        writes=[(nic.regs.addr, 32)],
-    )
-    desc = nic.next_tx_desc()
-    ctx.charge(
-        specs["e1000_xmit_frame"],
-        instr["e1000_xmit_frame"],
-        reads=[desc_skb.head_range(128)],
-        writes=[desc],
-        extra_cycles=250,
-    )
-    nic.lso_xmit(desc_skb, frames, ctx.now)
     steering = nic.steering
     if steering is not None:
         steering.sample_tx(conn_id, ctx.cpu_index)

@@ -389,9 +389,6 @@ class Nic:
 
         # Statistics.
         self.frames_out = 0
-        self.frames_in = 0
-        self.bytes_out = 0
-        self.bytes_in = 0
         self.rx_drops = 0
         self.tx_drops = 0
         self.irqs_fired = 0
@@ -430,17 +427,46 @@ class Nic:
     # Transmit path (driver hands a frame to the hardware).
     # ------------------------------------------------------------------
 
-    def hw_xmit(self, skb, packet, now):
-        """Accept a frame at local time ``now``; wire + DMA are events."""
-        start = max(now, self._tx_wire_free_at, self.engine.now)
+    def hw_xmit(self, frames, completion, now, lso=False):
+        """Accept ``frames`` (a list of ``(skb, packet)``) at local time
+        ``now``; wire + DMA are events.
+
+        An LSO burst (``lso=True``, one large send of any length,
+        one segment included) first charges the NIC engine descriptor
+        build per segment plus the per-line segmentation/checksum pass
+        the host no longer runs.  Every other transmit -- ACKs,
+        control segments and retransmissions under LSO too -- goes
+        straight to the wire.  The frames serialize back to back, and
+        ``completion`` (the skb the TX-completion interrupt returns)
+        is signalled after the last.
+        """
+        ready = now
+        if lso:
+            total = sum(packet.len for _skb, packet in frames)
+            ready = max(now, self.engine_charge(
+                NIC_ENGINE_SEG_CYCLES * len(frames)
+                + NIC_ENGINE_CYCLES_PER_LINE * lines_for(total),
+                "seg",
+            ))
+            self.lso_frames += len(frames)
+        last = len(frames) - 1
+        for i, (skb, packet) in enumerate(frames):
+            self.engine.schedule_at(
+                self._tx_wire_slot(ready, packet),
+                lambda s=skb, p=packet, c=(completion if i == last
+                                           else None):
+                    self._tx_complete(s, p, c),
+                label="%s tx" % self.name,
+            )
+
+    def _tx_wire_slot(self, ready, packet):
+        """Serialize ``packet`` on the transmit wire, starting no
+        earlier than ``ready``; returns the cycle it has left."""
+        start = max(ready, self._tx_wire_free_at, self.engine.now)
         done = start + self.params.wire_cycles(packet.wire_len)
         self._tx_wire_free_at = done
         self.frames_out += 1
-        self.bytes_out += packet.len
-        self.engine.schedule_at(
-            done, lambda: self._tx_complete(skb, packet, skb),
-            label="%s tx" % self.name,
-        )
+        return done
 
     def _tx_complete(self, skb, packet, completion):
         """One frame left the wire.  Transmit DMA reads its header +
@@ -510,15 +536,12 @@ class Nic:
         skb.len = packet.len
         skb.consumed = 0
         skb.is_ack = packet.is_ack
-        skb.sent_at = self.engine.now
         skb.pkt = packet
         # Receive DMA writes header + payload: CPU copies will be cold.
         addr, size = skb.data.field(
             0, skb.HEADER_BYTES + max(packet.len, HEADER_WIRE_BYTES)
         )
         self.machine.memsys.dma_write(addr, size)
-        self.frames_in += 1
-        self.bytes_in += packet.len
         rxq.frames_steered += 1
         tracer = self.machine.tracer
         if tracer is not None and self.steering is not None:
@@ -570,13 +593,9 @@ class Nic:
         the frame never exists in host memory."""
         ready = self.engine_charge(NIC_ENGINE_ACK_CYCLES, "ack")
         self.toe_acks += 1
-        start = max(now, ready, self._tx_wire_free_at, self.engine.now)
-        done = start + self.params.wire_cycles(packet.wire_len)
-        self._tx_wire_free_at = done
-        self.frames_out += 1
-        self.bytes_out += packet.len
         self.engine.schedule_at(
-            done, lambda: self._tx_deliver(packet),
+            self._tx_wire_slot(max(now, ready), packet),
+            lambda: self._tx_deliver(packet),
             label="%s toe ack" % self.name,
         )
 
@@ -590,43 +609,8 @@ class Nic:
             rxq.hold_until = hold
             self.itr_holds += 1
 
-    def lso_xmit(self, desc_skb, frames, now):
-        """LSO/TSO: one doorbell covers ``frames`` (a list of
-        ``(send-queue skb, packet)``).  The engine charges descriptor
-        build per segment plus the per-line segmentation/checksum pass
-        the host no longer runs, then the segments serialize onto the
-        wire.  One completion (``desc_skb``, the driver's descriptor
-        chain) is signalled after the last segment."""
-        total = 0
-        for _skb, packet in frames:
-            total += packet.len
-        ready = self.engine_charge(
-            NIC_ENGINE_SEG_CYCLES * len(frames)
-            + NIC_ENGINE_CYCLES_PER_LINE * lines_for(total),
-            "seg",
-        )
-        self.lso_frames += len(frames)
-        start = max(now, ready, self._tx_wire_free_at, self.engine.now)
-        last = len(frames) - 1
-        for i, (skb, packet) in enumerate(frames):
-            done = start + self.params.wire_cycles(packet.wire_len)
-            start = done
-            self.frames_out += 1
-            self.bytes_out += packet.len
-            completion = desc_skb if i == last else None
-            self.engine.schedule_at(
-                done,
-                lambda s=skb, p=packet, c=completion:
-                    self._tx_complete(s, p, c),
-                label="%s lso tx" % self.name,
-            )
-        self._tx_wire_free_at = start
-
     def reset_stats(self):
         self.frames_out = 0
-        self.frames_in = 0
-        self.bytes_out = 0
-        self.bytes_in = 0
         self.rx_drops = 0
         self.tx_drops = 0
         self.irqs_fired = 0

@@ -19,7 +19,6 @@ class NetParams:
 
     def __init__(
         self,
-        mtu=1500,
         mss=1460,
         # Linux 2.4 defaults: tcp_wmem[1] = 16KB, tcp_rmem[1] = 85KB.
         # The small send buffer matters enormously for the affinity
@@ -50,7 +49,6 @@ class NetParams:
         toe=False,
         nic_engine_scale=1.0,
     ):
-        self.mtu = mtu
         self.mss = mss
         self.sndbuf = sndbuf
         self.rcvbuf = rcvbuf
@@ -364,20 +362,26 @@ TOE_RCV_COMPLETION_INSTRUCTIONS = 60
 LOCK_HOLD_NOMINAL_CYCLES = 450
 
 
+def register_profile(functions, name):
+    """Register one profiled function (or return its existing spec)."""
+    prof = FUNCTION_PROFILES[name]
+    return functions.register(
+        name,
+        prof["bin"],
+        code_size=prof.get("code_size", 1536),
+        branch_frac=prof.get("branch_frac", 0.15),
+        mispredict_rate=prof.get("mispredict_rate", 0.01),
+        stall_per_instr=prof.get("stall_per_instr", 0.0),
+        stall_per_call=prof.get("stall_per_call", 0),
+    )
+
+
 def register_profiles(functions):
     """Register every profiled function; returns ``{name: spec}``."""
-    specs = {}
-    for name, prof in FUNCTION_PROFILES.items():
-        specs[name] = functions.register(
-            name,
-            prof["bin"],
-            code_size=prof.get("code_size", 1536),
-            branch_frac=prof.get("branch_frac", 0.15),
-            mispredict_rate=prof.get("mispredict_rate", 0.01),
-            stall_per_instr=prof.get("stall_per_instr", 0.0),
-            stall_per_call=prof.get("stall_per_call", 0),
-        )
-    return specs
+    return {
+        name: register_profile(functions, name)
+        for name in FUNCTION_PROFILES
+    }
 
 
 def base_instructions(name):

@@ -75,7 +75,6 @@ class Peer:
         #: past a loss-induced gap, merged when the gap fills.
         self._ooo = []
         self.dup_acks_sent = 0
-        self.dup_segments_rcvd = 0
         self.reorder_depth_peak = 0
 
         # Source state.
@@ -87,7 +86,6 @@ class Peer:
         self.snd_nxt = 0
         self.snd_una = 0
         self.peer_rcv_window = self.adv_window
-        self._pump_scheduled = False
         self.total_sent = 0
         #: Offered-load pacing (repro.diagnose saturation search):
         #: cycles per payload byte at the paced rate, or ``None`` for
@@ -123,7 +121,6 @@ class Peer:
         self.think_cycles = think_cycles
         self.phase = "idle"
         self.requests_sent_this_conn = 0
-        self.connections_completed = 0
         self.requests_completed_total = 0
 
         self.acks_sent = 0
@@ -172,7 +169,6 @@ class Peer:
         else:
             # Entirely duplicate data (a retransmission overlap): ack
             # our current state immediately.
-            self.dup_segments_rcvd += 1
             self._send_ack()
             return False
         self._unacked_segments += 1
@@ -319,15 +315,7 @@ class Peer:
                         )
                     break
                 self._pace_sent += mss
-            pkt = data_packet(self.conn_id, self.snd_nxt, mss)
-            if self.push_boundary:
-                # PSH on the segment that *contains* a message
-                # boundary (the boundary almost never coincides with
-                # an MSS-aligned segment end).
-                pkt.psh = (
-                    (self.snd_nxt + mss) % self.push_boundary < mss
-                )
-            self.nic.deliver_frame(pkt)
+            self.nic.deliver_frame(self._data_segment(self.snd_nxt, mss))
             self.snd_nxt += mss
             self.total_sent += mss
             self.segments_sent += 1
@@ -371,12 +359,16 @@ class Peer:
             return
         self.retransmits += 1
         self.segments_sent += 1
-        pkt = data_packet(self.conn_id, self.snd_una, length)
+        self.nic.deliver_frame(self._data_segment(self.snd_una, length))
+
+    def _data_segment(self, seq, length):
+        """A data segment of the stream, marked PSH when it *contains*
+        a message boundary (the boundary almost never coincides with
+        an MSS-aligned segment end)."""
+        pkt = data_packet(self.conn_id, seq, length)
         if self.push_boundary:
-            pkt.psh = (
-                (self.snd_una + length) % self.push_boundary < length
-            )
-        self.nic.deliver_frame(pkt)
+            pkt.psh = (seq + length) % self.push_boundary < length
+        return pkt
 
     # ------------------------------------------------------------------
     # Initiator: command/response pipelining (iSCSI-shaped).
@@ -433,7 +425,6 @@ class Peer:
             return
         if packet.ctl == "finack":
             self.phase = "idle"
-            self.connections_completed += 1
             self.engine.schedule_after(
                 self.think_cycles, self._open_connection,
                 label="client%d think" % self.conn_id,
@@ -468,10 +459,8 @@ class Peer:
     def reset_stats(self):
         self.acks_sent = 0
         self.segments_sent = 0
-        self.connections_completed = 0
         self.requests_completed_total = 0
         self.dup_acks_sent = 0
-        self.dup_segments_rcvd = 0
         self.dup_acks_seen = 0
         self.retransmits = 0
         self.rto_fires = 0

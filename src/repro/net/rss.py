@@ -215,7 +215,6 @@ class FlowDirector:
         self._tx_seen = {}
         self.samples = 0
         self.retargets = 0
-        self.evictions = 0
 
     def match(self, conn_id):
         """The filter's queue for ``conn_id``, or ``None`` on a miss."""
@@ -240,7 +239,6 @@ class FlowDirector:
             # to its static RSS queue, exactly the capacity behaviour
             # Wu et al. flag as the onset of large-scale reordering.
             self.filters.pop(next(iter(self.filters)))
-            self.evictions += 1
         self.filters[conn_id] = queue
         self.retargets += 1
         return queue
@@ -248,7 +246,6 @@ class FlowDirector:
     def reset_stats(self):
         self.samples = 0
         self.retargets = 0
-        self.evictions = 0
 
 
 class NicSteering:
@@ -260,7 +257,6 @@ class NicSteering:
         self.indirection = RssIndirection(n_queues)
         self.flow_director = FlowDirector(n_queues)
         self.fd_enabled = False
-        self.rx_lookups = 0
 
     def enable_flow_director(self):
         self.fd_enabled = True
@@ -271,7 +267,6 @@ class NicSteering:
 
     def queue_for(self, conn_id):
         """The queue the NIC steers ``conn_id`` to right now."""
-        self.rx_lookups += 1
         if self.fd_enabled:
             queue = self.flow_director.match(conn_id)
             if queue is not None:
@@ -296,7 +291,6 @@ class NicSteering:
                             conn=conn_id, queue=queue)
 
     def reset_stats(self):
-        self.rx_lookups = 0
         self.flow_director.reset_stats()
 
 

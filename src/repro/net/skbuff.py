@@ -12,7 +12,14 @@ reuse begins with coherence misses.
 
 Slab objects carry no range tables: :meth:`SkBuff.head_range` and
 :meth:`SkBuff.header_range` build their ``(addr, size)`` per call.
+
+:class:`SkbPools` charges its own Buffer-mgmt costs: ``alloc_skb``
+and ``kfree_skb`` at their profiled budgets, and a clone at
+:data:`CLONE_INSTRUCTIONS` under the ``alloc_skb`` spec.  Callers pass
+only the context and the skb.
 """
+
+from repro.net.params import base_instructions, register_profile
 
 #: Bound on a per-CPU freelist before overflowing to the global list.
 PER_CPU_FREELIST_MAX = 64
@@ -23,6 +30,10 @@ SKB_HEAD_SIZE = 256
 #: The leading byte counts of the metadata the stack charges
 #: (:meth:`SkBuff.head_range`).
 HEAD_RANGE_SIZES = frozenset((64, 128, SKB_HEAD_SIZE))
+
+#: Instructions of ``skb_clone``: a metadata copy sharing the data
+#: buffer, charged to the ``alloc_skb`` function.
+CLONE_INSTRUCTIONS = 120
 
 
 class SlabCache:
@@ -105,7 +116,6 @@ class SkBuff:
         "is_ack",
         "end_seq",
         "conn",
-        "sent_at",
         "is_clone",
         "pkt",
     )
@@ -122,7 +132,6 @@ class SkBuff:
         self.consumed = 0
         self.is_ack = False
         self.conn = conn
-        self.sent_at = 0
         self.is_clone = False
         #: The on-wire packet this skb was built from (receive path).
         self.pkt = None
@@ -174,10 +183,20 @@ class SkBuff:
 
 class SkbPools:
     """The pair of slab caches plus allocation/free helpers that
-    charge the paper's Buffer-mgmt costs."""
+    charge the paper's Buffer-mgmt costs.
+
+    The pools resolve their own function specs and instruction
+    budgets.  ``FunctionTable.register`` returns an existing spec, so
+    a stack that registers its profiles first keeps its kernel text
+    layout."""
 
     def __init__(self, machine, params):
         self.machine = machine
+        functions = machine.functions
+        self._alloc_spec = register_profile(functions, "alloc_skb")
+        self._alloc_instr = base_instructions("alloc_skb")
+        self._free_spec = register_profile(functions, "kfree_skb")
+        self._free_instr = base_instructions("kfree_skb")
         self.head_cache = SlabCache(
             "skb_head", SKB_HEAD_SIZE, machine.space, machine.n_cpus
         )
@@ -190,15 +209,15 @@ class SkbPools:
         #: of the skb conservation law checked after every run.
         self.clones_live = 0
 
-    def alloc(self, ctx, spec, base_instructions, conn=None):
+    def alloc(self, ctx, conn=None):
         """``alloc_skb``: charge buffer-mgmt work, return a fresh skb."""
         cpu_index = ctx.cpu.index
         head = self.head_cache.alloc(cpu_index)
         data = self.data_cache.alloc(cpu_index)
         skb = SkBuff(head, data, conn=conn)
         ctx.charge(
-            spec,
-            base_instructions,
+            self._alloc_spec,
+            self._alloc_instr,
             reads=[(head.addr, 64)],
             writes=[(head.addr, SKB_HEAD_SIZE), (data.addr, 64)],
         )
@@ -207,7 +226,7 @@ class SkbPools:
             tracer.emit("skb_alloc", cpu=cpu_index, ts=ctx.now)
         return skb
 
-    def free(self, ctx, spec, base_instructions, skb):
+    def free(self, ctx, skb):
         """``kfree_skb``: charge buffer-mgmt work, recycle the objects.
 
         A clone returns only its metadata; the shared data buffer is
@@ -215,8 +234,8 @@ class SkbPools:
         """
         cpu_index = ctx.cpu.index
         ctx.charge(
-            spec,
-            base_instructions,
+            self._free_spec,
+            self._free_instr,
             reads=[(skb.head.addr, SKB_HEAD_SIZE)],
             writes=[(skb.head.addr, 64)],
         )
@@ -229,7 +248,7 @@ class SkbPools:
         if tracer is not None:
             tracer.emit("skb_free", cpu=cpu_index, ts=ctx.now)
 
-    def clone(self, ctx, spec, base_instructions, skb):
+    def clone(self, ctx, skb):
         """``skb_clone``: new metadata sharing the original's data."""
         head = self.head_cache.alloc(ctx.cpu.index)
         clone = SkBuff(head, skb.data, conn=skb.conn)
@@ -240,8 +259,8 @@ class SkbPools:
         clone.is_clone = True
         self.clones_live += 1
         ctx.charge(
-            spec,
-            base_instructions,
+            self._alloc_spec,
+            CLONE_INSTRUCTIONS,
             reads=[(skb.head.addr, SKB_HEAD_SIZE)],
             writes=[(head.addr, SKB_HEAD_SIZE)],
         )

@@ -111,7 +111,6 @@ class Sock:
         self.ooo_queue = []
         self.ooo_segs_in = 0
         self.dup_segs_in = 0
-        self.ooo_drops = 0
         self.ooo_peak = 0
         #: ACKs sent from the duplicate/gap arms of tcp_rcv_established
         #: -- duplicate ACKs on the wire, the receiver-side signature
@@ -134,9 +133,7 @@ class Sock:
 
         # Statistics.
         self.segs_out = 0
-        self.segs_in = 0
         self.acks_out = 0
-        self.acks_in = 0
         self.bytes_queued_total = 0
 
     def scale_buffers(self, weight):
@@ -239,7 +236,6 @@ class Sock:
         self.rcv_nxt = skb.end_seq
         self.receive_queue.append(skb)
         self.rmem_queued += skb.truesize
-        self.segs_in += 1
         self.bytes_queued_total += skb.len
 
     def enqueue_ooo(self, skb):
@@ -250,7 +246,6 @@ class Sock:
         the sender's retransmission covers the range either way.
         """
         if len(self.ooo_queue) >= OOO_QUEUE_MAX:
-            self.ooo_drops += 1
             return False
         insert_at = 0
         for i, held in enumerate(self.ooo_queue):

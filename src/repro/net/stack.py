@@ -46,9 +46,8 @@ class Connection:
 
     __slots__ = (
         "conn_id", "sock", "nic", "peer", "user_buffer", "file_obj",
-        "write_seq", "bytes_acked", "rexmit_armed", "rto_fires",
-        "fast_retransmits", "retransmitted_segments", "rexmit_timer",
-        "flow_class",
+        "write_seq", "rexmit_armed", "rto_fires",
+        "fast_retransmits", "retransmitted_segments", "flow_class",
     )
 
     def __init__(self, conn_id, sock, nic, peer, user_buffer, file_obj):
@@ -60,18 +59,15 @@ class Connection:
         self.file_obj = file_obj
         #: Next sequence number to assign to queued (not yet sent) data.
         self.write_seq = 0
-        self.bytes_acked = 0
         self.rexmit_armed = False
         self.rto_fires = 0
         self.fast_retransmits = 0
         self.retransmitted_segments = 0
-        self.rexmit_timer = None
         #: The FlowClass this connection represents (aggregated stacks
         #: only); None when the connection is a single exact flow.
         self.flow_class = None
 
     def reset_stats(self):
-        self.bytes_acked = 0
         self.rto_fires = 0
         self.fast_retransmits = 0
         self.retransmitted_segments = 0
@@ -272,7 +268,6 @@ class NetworkStack:
         sock.rexmit_timer = KernelTimer(
             "rexmit:%d" % conn_id, self._make_rexmit_handler(conn)
         )
-        conn.rexmit_timer = sock.rexmit_timer
         machine.add_resettable(conn)
         if not shared:
             machine.add_resettable(nic)
@@ -352,11 +347,7 @@ class NetworkStack:
                         writes=[rxq.ring.field(0, 16 * deficit)],
                     )
                     for _ in range(deficit):
-                        skb = self.pools.alloc(
-                            ctx, specs["alloc_skb"],
-                            instr["alloc_skb"],
-                        )
-                        rxq.post_rx(skb)
+                        rxq.post_rx(self.pools.alloc(ctx))
 
         return isr
 
@@ -379,9 +370,7 @@ class NetworkStack:
             reads=[softnet.head_range()],
         )
         for skb in queue:
-            self.pools.free(
-                ctx, specs["kfree_skb"], instr["kfree_skb"], skb
-            )
+            self.pools.free(ctx, skb)
         return
         yield  # pragma: no cover -- marks this as a generator
 
@@ -491,77 +480,63 @@ class NetworkStack:
             self.instr["mod_timer"],
             writes=[conn.sock.buf[32]],
         )
+        timer = conn.sock.rexmit_timer
         if conn.rexmit_armed:
-            self.machine.del_timer(conn.rexmit_timer)
-        ctx.add_timer(conn.rexmit_timer, self.params.rto_cycles)
+            self.machine.del_timer(timer)
+        ctx.add_timer(timer, self.params.rto_cycles)
         conn.rexmit_armed = True
 
     # ------------------------------------------------------------------
     # System calls (process context).
     # ------------------------------------------------------------------
 
-    def sys_write(self, ctx, conn, nbytes):
-        """``write(fd, buf, nbytes)`` on a blocking TCP socket."""
+    def _syscall_entry(self, ctx, conn, syscall, sock_fn, inet_fn):
+        """Charge a socket syscall's entry and its socket layer: the
+        BSD glue (``sock_fn``) and the inet layer (``inet_fn``) -- or
+        under TOE one doorbell write into the NIC's command queue,
+        which bypasses the inet glue."""
         specs = self.specs
         instr = self.instr
-        task_struct = ctx.task._struct
+        file_range = (conn.file_obj.addr, 64)
         ctx.charge(
-            specs["sys_write"],
-            instr["sys_write"],
-            reads=[(task_struct.addr, 128), (conn.file_obj.addr, 64)],
+            specs[syscall],
+            instr[syscall],
+            reads=[(ctx.task._struct.addr, 128), file_range],
         )
         if self.params.toe:
-            # TOE socket: the send path is a doorbell write into the
-            # NIC's command queue -- the inet glue layer is bypassed.
             ctx.charge(
-                specs["sock_sendmsg"],
+                specs[sock_fn],
                 TOE_DOORBELL_INSTRUCTIONS,
-                reads=[(conn.file_obj.addr, 64)],
+                reads=[file_range],
             )
-        else:
-            ctx.charge(
-                specs["sock_sendmsg"],
-                instr["sock_sendmsg"],
-                reads=[(conn.file_obj.addr, 64), conn.sock.buf[64]],
-            )
-            ctx.charge(
-                specs["inet_sendmsg"],
-                instr["inet_sendmsg"],
-                reads=[conn.sock.tcb[64]],
-            )
+            return
+        ctx.charge(
+            specs[sock_fn],
+            instr[sock_fn],
+            reads=[file_range, conn.sock.buf[64]],
+        )
+        ctx.charge(
+            specs[inet_fn],
+            instr[inet_fn],
+            reads=[conn.sock.tcb[64]],
+        )
+
+    def sys_write(self, ctx, conn, nbytes):
+        """``write(fd, buf, nbytes)`` on a blocking TCP socket."""
+        self._syscall_entry(ctx, conn, "sys_write", "sock_sendmsg",
+                            "inet_sendmsg")
         copied = yield from tcp_sendmsg(ctx, self, conn, nbytes)
         return copied
 
     def sys_read(self, ctx, conn, nbytes):
-        """``read(fd, buf, nbytes)``: blocks only when no data at all."""
+        """``read(fd, buf, nbytes)``: blocks only when no data at all.
+
+        A TOE read's receive completions ride the NIC's event queue."""
         specs = self.specs
         instr = self.instr
         sock = conn.sock
-        task_struct = ctx.task._struct
-        ctx.charge(
-            specs["sys_read"],
-            instr["sys_read"],
-            reads=[(task_struct.addr, 128), (conn.file_obj.addr, 64)],
-        )
-        if self.params.toe:
-            # TOE socket: receive completions ride the NIC's event
-            # queue; the inet glue layer is bypassed.
-            ctx.charge(
-                specs["sock_recvmsg"],
-                TOE_DOORBELL_INSTRUCTIONS,
-                reads=[(conn.file_obj.addr, 64)],
-            )
-        else:
-            ctx.charge(
-                specs["sock_recvmsg"],
-                instr["sock_recvmsg"],
-                reads=[(conn.file_obj.addr, 64), sock.buf[64]],
-            )
-            ctx.charge(
-                specs["inet_recvmsg"],
-                instr["inet_recvmsg"],
-                reads=[sock.tcb[64]],
-            )
+        self._syscall_entry(ctx, conn, "sys_read", "sock_recvmsg",
+                            "inet_recvmsg")
         ctx.charge(
             specs["tcp_recvmsg"],
             instr["tcp_recvmsg"],
@@ -670,10 +645,7 @@ class NetworkStack:
                     reads=[sock.buf[96]],
                     writes=[sock.buf[96]],
                 )
-                self.pools.free(
-                    ctx, specs["kfree_skb"],
-                    instr["kfree_skb"], skb,
-                )
+                self.pools.free(ctx, skb)
             # Window management: a drained buffer may owe the sender a
             # window update (tcp_cleanup_rbuf).
             ctx.charge(
@@ -735,7 +707,7 @@ class NetworkStack:
             writes=[(sock.obj.addr, 512)],
         )
         if conn.rexmit_armed:
-            self.machine.del_timer(conn.rexmit_timer)
+            self.machine.del_timer(sock.rexmit_timer)
             conn.rexmit_armed = False
         if sock.delack_pending:
             self.machine.del_timer(sock.delack_timer)

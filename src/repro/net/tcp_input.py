@@ -107,16 +107,12 @@ def process_segment(ctx, stack, conn, skb):
     if skb.pkt.ctl is not None:
         for op in handle_control(ctx, stack, conn, skb):
             yield op
-        stack.pools.free(
-            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
-        )
+        stack.pools.free(ctx, skb)
         return
     if skb.is_ack or skb.len == 0:
         for op in tcp_ack(ctx, stack, conn, skb):
             yield op
-        stack.pools.free(
-            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
-        )
+        stack.pools.free(ctx, skb)
     else:
         for op in tcp_rcv_established(ctx, stack, conn, skb):
             yield op
@@ -181,7 +177,6 @@ def tcp_ack(ctx, stack, conn, skb):
     specs = stack.specs
     instr = stack.instr
     toe = stack.params.toe
-    sock.acks_in += 1
     if toe:
         # TOE: the NIC engine owns ACK bookkeeping; the host reads one
         # completion entry off the TOE queue instead of walking the
@@ -230,11 +225,7 @@ def tcp_ack(ctx, stack, conn, skb):
                 reads=[sock.buf[64]],
                 writes=[sock.buf[48]],
             )
-            stack.pools.free(
-                ctx, specs["kfree_skb"], instr["kfree_skb"],
-                acked,
-            )
-        conn.bytes_acked += acked.len
+            stack.pools.free(ctx, acked)
     # Retransmit timer: cancelled when the pipe drains, pushed out on
     # every ACK otherwise -- the mod_timer churn behind the paper's TX
     # Timers bin.
@@ -297,9 +288,7 @@ def tcp_rcv_established(ctx, stack, conn, skb):
         # and re-ACK our state so the sender converges.
         sock.dup_segs_in += 1
         sock.dup_acks_out += 1
-        stack.pools.free(
-            ctx, specs["kfree_skb"], instr["kfree_skb"], skb
-        )
+        stack.pools.free(ctx, skb)
         for op in tcp_send_ack(ctx, stack, conn):
             yield op
         return
@@ -314,60 +303,21 @@ def tcp_rcv_established(ctx, stack, conn, skb):
             writes=[sock.buf[128], (skb.head.addr, 256)],
         )
         if not sock.enqueue_ooo(skb):
-            stack.pools.free(
-                ctx, specs["kfree_skb"], instr["kfree_skb"], skb
-            )
+            stack.pools.free(ctx, skb)
         sock.dup_acks_out += 1
         for op in tcp_send_ack(ctx, stack, conn):
             yield op
         return
-    if skb.seq < sock.rcv_nxt:
-        # Partial overlap: trim the bytes we already have so the
-        # stream advances by exactly the new payload.
-        skb.len = skb.end_seq - sock.rcv_nxt
-        skb.seq = sock.rcv_nxt
-    sock.receive_data(skb)
-    ctx.charge(
-        specs["skb_queue_ops"],
-        instr["skb_queue_ops"],
-        reads=[sock.buf[64]],
-        writes=[sock.buf[128], (skb.head.addr, 256)],
-    )
-    ctx.charge(
-        specs["sk_stream_mem"],
-        instr["sk_stream_mem"],
-        reads=[sock.buf[96]],
-        writes=[sock.buf[96]],
-    )
-    sock.segs_since_ack += 1
+    _queue_in_order(ctx, stack, sock, skb)
     # The in-order arrival may have filled the gap in front of held
     # out-of-order segments: splice them into the receive queue.
     while sock.ooo_queue and sock.ooo_queue[0].seq <= sock.rcv_nxt:
         held = sock.ooo_queue.pop(0)
         if held.end_seq <= sock.rcv_nxt:
             sock.dup_segs_in += 1
-            stack.pools.free(
-                ctx, specs["kfree_skb"], instr["kfree_skb"],
-                held,
-            )
+            stack.pools.free(ctx, held)
             continue
-        if held.seq < sock.rcv_nxt:
-            held.len = held.end_seq - sock.rcv_nxt
-            held.seq = sock.rcv_nxt
-        sock.receive_data(held)
-        ctx.charge(
-            specs["skb_queue_ops"],
-            instr["skb_queue_ops"],
-            reads=[sock.buf[64]],
-            writes=[sock.buf[128], (held.head.addr, 256)],
-        )
-        ctx.charge(
-            specs["sk_stream_mem"],
-            instr["sk_stream_mem"],
-            reads=[sock.buf[96]],
-            writes=[sock.buf[96]],
-        )
-        sock.segs_since_ack += 1
+        _queue_in_order(ctx, stack, sock, held)
     if sock.segs_since_ack >= params.ack_every:
         for op in tcp_send_ack(ctx, stack, conn):
             yield op
@@ -385,3 +335,30 @@ def tcp_rcv_established(ctx, stack, conn, skb):
                 or sock.fin_received):
             ctx.wake_up(sock.rcv_wq)
     return
+
+
+def _queue_in_order(ctx, stack, sock, skb):
+    """Queue one segment that starts at or before ``rcv_nxt`` and
+    ends past it: the arriving segment, or one spliced from the
+    out-of-order queue."""
+    if skb.seq < sock.rcv_nxt:
+        # Partial overlap: trim the bytes we already have so the
+        # stream advances by exactly the new payload.
+        skb.len = skb.end_seq - sock.rcv_nxt
+        skb.seq = sock.rcv_nxt
+    sock.receive_data(skb)
+    specs = stack.specs
+    instr = stack.instr
+    ctx.charge(
+        specs["skb_queue_ops"],
+        instr["skb_queue_ops"],
+        reads=[sock.buf[64]],
+        writes=[sock.buf[128], (skb.head.addr, 256)],
+    )
+    ctx.charge(
+        specs["sk_stream_mem"],
+        instr["sk_stream_mem"],
+        reads=[sock.buf[96]],
+        writes=[sock.buf[96]],
+    )
+    sock.segs_since_ack += 1

@@ -217,12 +217,11 @@ class ClassColumns:
     path), laid out field-major: ``[f0 c0..cN-1, f1 c0..cN-1, ...]``.
     """
 
-    __slots__ = ("n_classes", "fields", "_data", "_views")
+    __slots__ = ("fields", "_data", "_views")
 
     def __init__(self, n_classes, fields):
         if n_classes < 1:
             raise ValueError("n_classes must be >= 1, got %d" % n_classes)
-        self.n_classes = n_classes
         self.fields = tuple(fields)
         self._data = array("q", bytes(8 * n_classes * len(self.fields)))
         view = memoryview(self._data)

@@ -19,16 +19,16 @@ MS = 2_000_000
 
 class TestProjectionMath:
     def test_full_fast_path(self):
-        p = Partition(1.0, 0.0, 0.0, 0, 100)
+        p = Partition(1.0, 0.0, 0.0)
         # 20% cheaper fast path -> 25% more throughput.
         assert projected_gain(p, 0.20) == pytest.approx(0.25)
 
     def test_no_fast_path_no_gain(self):
-        p = Partition(0.0, 0.3, 0.7, 0, 100)
+        p = Partition(0.0, 0.3, 0.7)
         assert projected_gain(p, 0.5) == pytest.approx(0.0)
 
     def test_partial_share(self):
-        p = Partition(0.5, 0.1, 0.4, 0, 100)
+        p = Partition(0.5, 0.1, 0.4)
         gain = projected_gain(p, 0.2)
         assert 0.0 < gain < 0.2
 

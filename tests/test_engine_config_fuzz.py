@@ -1,13 +1,14 @@
 """Pure vs compiled engine on whole experiments drawn at random.
 
-The golden table pins 40 configurations and
+The golden table pins 51 configurations and
 ``test_engine_equivalence.py`` compares the engines state by state on
 tiny component scripts.  This suite covers the config space between
 them: hypothesis draws small experiments -- direction, message size,
-the paper's four affinity modes plus two-queue RSS, machine size,
-connection count, fault-free or lossy wire, seed -- and requires the
-full result payload to hash identically under both engines.  The
-draw is derandomized, so a failure replays exactly.
+the paper's four affinity modes plus two-queue RSS and TOE, the NIC
+offload knobs (LSO, GRO, GRO with an aging timer), machine size,
+connection count, a clean, lossy or reordering wire, seed -- and
+requires the full result payload to hash identically under both
+engines.  The draw is derandomized, so a failure replays exactly.
 """
 
 import hashlib
@@ -41,9 +42,19 @@ def _payload_sha(config, engine):
     ).hexdigest()
 
 
+#: NIC offload knobs drawn beside the mode: LSO, GRO, and GRO with an
+#: aging timer (``toe``, an affinity mode, implies both).
+NET_OVERRIDES = (
+    None,
+    {"lso": True},
+    {"gro": True},
+    {"gro": True, "gro_flush_us": 10},
+)
+
+
 @st.composite
 def configs(draw):
-    mode = draw(st.sampled_from(AFFINITY_MODES + ("rss",)))
+    mode = draw(st.sampled_from(AFFINITY_MODES + ("rss", "toe")))
     return ExperimentConfig(
         direction=draw(st.sampled_from(("tx", "rx"))),
         message_size=draw(st.sampled_from((128, 1024, 16384, 65536))),
@@ -51,7 +62,8 @@ def configs(draw):
         n_queues=2 if mode == "rss" else 1,
         n_cpus=draw(st.sampled_from((2, 4))),
         n_connections=draw(st.integers(min_value=2, max_value=8)),
-        faults=draw(st.sampled_from((None, "loss=0.01"))),
+        faults=draw(st.sampled_from((None, "loss=0.01", "reorder=0.01"))),
+        net_overrides=draw(st.sampled_from(NET_OVERRIDES)),
         warmup_ms=1,
         measure_ms=1,
         seed=draw(st.integers(min_value=0, max_value=2**16)),

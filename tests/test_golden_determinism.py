@@ -7,9 +7,10 @@ three message sizes, all four affinity modes -- plus the two
 multi-queue steering modes (``rss`` / ``flow-director``) on a shared
 4-queue 10GbE-class NIC, which pins the Toeplitz spread, Flow
 Director retarget timing and the reordering counters bit-for-bit --
-plus four NIC-offload cells and seven peer-mode cells (the iSCSI
-initiator and web client peers, and every receiving peer's gap and
-duplicate arms under wire loss): 47 cells in all.
+plus eight NIC-offload cells (LSO, TOE and GRO, clean and under wire
+loss or reordering) and seven peer-mode cells (the iSCSI initiator
+and web client peers, and every receiving peer's gap and duplicate
+arms under wire loss): 51 cells in all.
 
 The hash makes this a bit-identity check: any change to simulated
 cache behaviour, event ordering, cycle charging or accounting -- no
@@ -46,17 +47,28 @@ MQ_MODES = ("rss", "flow-director")
 #: the affinity field; ``lso``/``gro`` run under full affinity with
 #: the knob flipped through net_overrides.  Offload is all-new code
 #: gated off by default, so these cells pin its event ordering and
-#: engine accounting without touching the pre-existing hashes.
+#: engine accounting without touching the pre-existing hashes.  The
+#: faulted cells pin the offload paths' recovery arms: fast
+#: retransmits under LSO and TOE (wire loss), duplicate ACKs on the
+#: TOE receive path, and GRO's out-of-order flushes (reordering).
+#: Each mode maps to ``(affinity, net_overrides, faults)``.
 OFFLOAD_KNOBS = {
-    "toe": ("toe", None),
-    "lso": ("full", {"lso": True}),
-    "gro": ("full", {"gro": True}),
+    "toe": ("toe", None, None),
+    "lso": ("full", {"lso": True}, None),
+    "gro": ("full", {"gro": True}, None),
+    "lso-loss1": ("full", {"lso": True}, "loss=0.01"),
+    "toe-loss1": ("toe", None, "loss=0.01"),
+    "gro-reorder2": ("full", {"gro": True}, "reorder=0.02"),
 }
 OFFLOAD_CELLS = (
     ("tx-65536-toe", "tx", 65536, "toe"),
     ("rx-65536-toe", "rx", 65536, "toe"),
     ("tx-65536-lso", "tx", 65536, "lso"),
     ("rx-65536-gro", "rx", 65536, "gro"),
+    ("tx-65536-lso-loss1", "tx", 65536, "lso-loss1"),
+    ("tx-65536-toe-loss1", "tx", 65536, "toe-loss1"),
+    ("rx-65536-toe-loss1", "rx", 65536, "toe-loss1"),
+    ("rx-65536-gro-reorder2", "rx", 65536, "gro-reorder2"),
 )
 
 #: Peer-mode cells.  The classic cells only ever run the sink/source
@@ -116,11 +128,13 @@ def _config(direction, size, mode):
             measure_ms=3,
             seed=7,
         )
-    affinity, net_overrides = OFFLOAD_KNOBS.get(mode, (mode, None))
+    affinity, net_overrides, faults = OFFLOAD_KNOBS.get(
+        mode, (mode, None, None))
     return ExperimentConfig(
         direction=direction,
         message_size=size,
         affinity=affinity,
+        faults=faults,
         n_connections=4,
         warmup_ms=2,
         measure_ms=3,

@@ -84,9 +84,9 @@ class TestSingleQueueDevice:
 class TestNicReceive:
     def test_frame_dma_after_wire_delay(self, rig):
         rig.nic.deliver_frame(data_packet(0, 0, 1460))
-        assert rig.nic.frames_in == 0  # not yet: wire serialization
+        assert rig.rxq.frames_steered == 0  # not yet: wire serialization
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) + 10)
-        assert rig.nic.frames_in == 1
+        assert rig.rxq.frames_steered == 1
         assert len(rig.rxq.rx_pending) == 1
 
     def test_wire_serializes_back_to_back_frames(self, rig):
@@ -94,9 +94,9 @@ class TestNicReceive:
             rig.nic.deliver_frame(data_packet(0, seq, 1460))
         one_frame = rig.params.wire_cycles(1460 + 54)
         rig.machine.engine.run(until=one_frame + 10)
-        assert rig.nic.frames_in == 1
+        assert rig.rxq.frames_steered == 1
         rig.machine.engine.run(until=2 * one_frame + 10)
-        assert rig.nic.frames_in == 2
+        assert rig.rxq.frames_steered == 2
 
     def test_rx_dma_invalidates_buffer(self, rig):
         # Warm the posted buffer in CPU0's cache, then receive into it.

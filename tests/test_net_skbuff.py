@@ -115,21 +115,19 @@ class TestSkbPools:
     def test_alloc_charges_and_returns(self, pools):
         machine, p = pools
         ctx = machine.states[0].softirq_ctx
-        spec = machine.functions.register("alloc_skb_t", "buf_mgmt")
         busy_before = machine.cpus[0].busy_cycles
-        skb = p.alloc(ctx, spec, 200)
+        skb = p.alloc(ctx)
         assert machine.cpus[0].busy_cycles > busy_before
         assert skb.len == 0 and not skb.is_clone
 
     def test_clone_shares_data(self, pools):
         machine, p = pools
         ctx = machine.states[0].softirq_ctx
-        spec = machine.functions.register("skb_ops_t", "buf_mgmt")
-        skb = p.alloc(ctx, spec, 200)
+        skb = p.alloc(ctx)
         skb.len = 500
         skb.seq = 42
         skb.end_seq = 542
-        clone = p.clone(ctx, spec, 100, skb)
+        clone = p.clone(ctx, skb)
         assert clone.data is skb.data
         assert clone.head is not skb.head
         assert clone.is_clone
@@ -138,13 +136,12 @@ class TestSkbPools:
     def test_free_clone_keeps_data_buffer(self, pools):
         machine, p = pools
         ctx = machine.states[0].softirq_ctx
-        spec = machine.functions.register("free_t", "buf_mgmt")
-        skb = p.alloc(ctx, spec, 200)
-        clone = p.clone(ctx, spec, 100, skb)
+        skb = p.alloc(ctx)
+        clone = p.clone(ctx, skb)
         data_outstanding = p.data_cache.outstanding()
-        p.free(ctx, spec, 150, clone)
+        p.free(ctx, clone)
         assert p.data_cache.outstanding() == data_outstanding
-        p.free(ctx, spec, 150, skb)
+        p.free(ctx, skb)
         assert p.data_cache.outstanding() == data_outstanding - 1
 
     def test_alloc_nocharge_does_not_charge(self, pools):
