@@ -16,7 +16,7 @@ Run:
     python examples/four_processor_extension.py
 """
 
-from repro.core import ExperimentConfig, run_experiment
+from repro.core.experiment import ExperimentConfig, run_experiment
 
 
 def run(n_cpus, affinity):

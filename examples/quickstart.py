@@ -9,7 +9,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro.core import ExperimentConfig, run_experiment
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.characterization import BIN_LABELS, STACK_BINS, characterize
 
 

@@ -15,7 +15,8 @@ and figure.
 
 Entry points:
 
-* :mod:`repro.core` -- ``run_experiment`` and the per-artefact analyses;
+* :mod:`repro.core.experiment` -- ``run_experiment``; the per-artefact
+  analyses are the other :mod:`repro.core` modules;
 * ``repro-affinity`` (console script) -- run experiments from a shell;
 * ``examples/`` and ``benchmarks/`` in the source tree.
 """

@@ -1,16 +1,11 @@
-"""Statistics and table-formatting utilities used by the analyses."""
+"""Statistics and table-formatting utilities used by the analyses.
 
-from repro.analysis.stats import (
-    rankdata,
-    spearman_critical_value,
-    spearman_rank_correlation,
-)
-from repro.analysis.tables import TextTable, format_pct
+====================  ==============================================
+:mod:`.stats`         ``rankdata``, ``spearman_rank_correlation``,
+                      ``spearman_critical_value``
+:mod:`.tables`        ``TextTable``, ``format_pct``
+====================  ==============================================
 
-__all__ = [
-    "rankdata",
-    "spearman_rank_correlation",
-    "spearman_critical_value",
-    "TextTable",
-    "format_pct",
-]
+Import names from their defining module; the package re-exports
+nothing, so importing one module loads only that module.
+"""

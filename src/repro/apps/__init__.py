@@ -1,13 +1,15 @@
 """Workloads that drive the simulated stack.
 
-* :mod:`repro.apps.ttcp` -- the paper's bulk-transfer micro-benchmark;
-* :mod:`repro.apps.iscsi` -- the iSCSI-target future-work workload;
-* :mod:`repro.apps.webserve` -- connection-churn web serving (the
-  paper's workload-partitioning argument).
+====================  ==============================================
+:mod:`.ttcp`          ``TtcpWorkload``: the paper's bulk-transfer
+                      micro-benchmark
+:mod:`.iscsi`         ``IscsiTargetWorkload``: the iSCSI-target
+                      future-work workload
+:mod:`.webserve`      ``WebServerWorkload``: connection-churn web
+                      serving (the paper's workload-partitioning
+                      argument)
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.apps.iscsi import IscsiTargetWorkload
-from repro.apps.ttcp import TtcpWorkload
-from repro.apps.webserve import WebServerWorkload
-
-__all__ = ["TtcpWorkload", "IscsiTargetWorkload", "WebServerWorkload"]

@@ -48,65 +48,10 @@ Results are cached in ``.repro-results/`` (override with
 (override with ``REPRO_RUNS_DIR``).
 """
 
+# Only argparse and sys at module level: each cmd_* imports what it
+# runs, so --help or ``runs list`` never loads the simulator.
 import argparse
 import sys
-
-from repro.core.experiment import (
-    DEFAULT_CACHE,
-    ExperimentConfig,
-    run_experiment,
-)
-from repro.core.characterization import BIN_LABELS, STACK_BINS, characterize
-from repro.core.metrics import run_size_sweep
-from repro.core.modes import AFFINITY_MODES, EXTENDED_MODES
-from repro.core.parallel import SweepRunner, default_jobs
-from repro.core.report import (
-    render_coalesce_table,
-    render_figure3,
-    render_figure4,
-    render_scale_table,
-    render_table1,
-    render_table3,
-    render_trace_crosscheck,
-)
-from repro.core.scale import (
-    COALESCE_GRID,
-    COALESCE_VARIANTS,
-    SCALE_CPUS,
-    SCALE_MODES,
-    SCALE_SIZES,
-    run_coalesce_sweep,
-    run_scale_sweep,
-    scaling_efficiency,
-)
-from repro.diagnose import (
-    DEFAULT_FACTOR,
-    DEFAULT_STEPS,
-    DEFAULT_SUSTAIN_FRAC,
-    PERTURB_SPECS,
-    render_diagnosis,
-    run_diagnosis,
-)
-from repro.runstore import (
-    GracefulShutdown,
-    LockHeldError,
-    RunStore,
-    RunStoreError,
-    ShutdownRequested,
-    atomic_write_text,
-)
-from repro.runstore.cli import register as register_runs_cli
-from repro.trace import (
-    LatencyStats,
-    TraceOptions,
-    irq_to_copy_latencies,
-    irq_to_softirq_latencies,
-    render_timeline,
-    top_producers,
-    write_chrome_trace,
-    write_flamegraph,
-)
-from repro.trace.export import DEFAULT_HZ
 
 
 def _add_common(parser, jobs=None):
@@ -168,6 +113,8 @@ def _add_runstore(parser):
 
 
 def _config(args, affinity):
+    from repro.core.experiment import ExperimentConfig
+
     return ExperimentConfig(
         direction=args.direction,
         message_size=args.size,
@@ -189,6 +136,8 @@ def _progress(msg):
 
 
 def _run(args, affinity):
+    from repro.core.experiment import DEFAULT_CACHE, run_experiment
+
     cache = None if args.no_cache else DEFAULT_CACHE
     return run_experiment(
         _config(args, affinity), cache=cache, progress=_progress
@@ -202,6 +151,9 @@ def _study_runner(args, store):
     ``--retries`` (serial defaults for commands without them),
     ``--no-cache``, and the run store as its journal.
     """
+    from repro.core.experiment import DEFAULT_CACHE
+    from repro.core.parallel import SweepRunner, default_jobs
+
     jobs = getattr(args, "jobs", 1)
     return SweepRunner(
         jobs=jobs if jobs > 0 else default_jobs(),
@@ -238,6 +190,14 @@ def _run_study(args, command, body):
     """
     if getattr(args, "no_runstore", False):
         return _run_body(command, body, _study_runner(args, None))
+    from repro.runstore import (
+        GracefulShutdown,
+        LockHeldError,
+        RunStore,
+        RunStoreError,
+        ShutdownRequested,
+    )
+
     store = getattr(args, "_store", None)
     if store is None:
         recorded = {
@@ -272,6 +232,12 @@ def _run_study(args, command, body):
 
 
 def cmd_run(args):
+    from repro.core.characterization import (
+        BIN_LABELS,
+        STACK_BINS,
+        characterize,
+    )
+
     result = _run(args, args.affinity)
     print(result.summary())
     rows = characterize(result)
@@ -305,6 +271,8 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
+    from repro.core.modes import AFFINITY_MODES, EXTENDED_MODES
+
     modes = EXTENDED_MODES if args.extended else AFFINITY_MODES
     if getattr(args, "queues", 1) <= 1:
         # Flow Director needs a multi-queue NIC; on a single-queue
@@ -327,6 +295,10 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
+    from repro.core.metrics import run_size_sweep
+    from repro.core.modes import EXTENDED_MODES
+    from repro.core.report import render_figure3, render_figure4
+
     sizes = tuple(args.sizes)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
@@ -368,6 +340,13 @@ def cmd_sweep(args):
 
 
 def cmd_scale(args):
+    from repro.core.report import render_scale_table
+    from repro.core.scale import (
+        SCALE_MODES,
+        run_scale_sweep,
+        scaling_efficiency,
+    )
+
     cpus = tuple(args.cpus_list)
     sizes = tuple(args.sizes)
     if args.coalesce_sweep:
@@ -442,6 +421,9 @@ def cmd_scale(args):
 def _cmd_coalesce(args):
     """The ``scale --coalesce-sweep`` axis: ITR timer x throttle
     variant under the contended Flow Director configuration."""
+    from repro.core.report import render_coalesce_table
+    from repro.core.scale import COALESCE_VARIANTS, run_coalesce_sweep
+
     grid = tuple(args.coalesce_us)
     variants = tuple(
         v.strip() for v in args.coalesce_variants.split(",") if v.strip()
@@ -487,6 +469,7 @@ def _cmd_coalesce(args):
 
 
 def cmd_offload(args):
+    from repro.core.modes import EXTENDED_MODES
     from repro.core.offload import run_offload_study
     from repro.core.report import render_offload_table
 
@@ -528,6 +511,12 @@ def cmd_offload(args):
 def cmd_diagnose(args):
     import json
     import os
+
+    from repro.core.modes import EXTENDED_MODES
+    from repro.diagnose.driver import run_diagnosis
+    from repro.diagnose.perturb import PERTURB_SPECS
+    from repro.diagnose.report import render_diagnosis
+    from repro.runstore import atomic_write_text
 
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for mode in modes:
@@ -602,6 +591,22 @@ def cmd_diagnose(args):
 
 
 def cmd_trace(args):
+    from repro.core.experiment import run_experiment
+    from repro.core.report import render_trace_crosscheck
+    from repro.trace.analyses import (
+        LatencyStats,
+        irq_to_copy_latencies,
+        irq_to_softirq_latencies,
+        render_timeline,
+        top_producers,
+    )
+    from repro.trace.export import (
+        DEFAULT_HZ,
+        write_chrome_trace,
+        write_flamegraph,
+    )
+    from repro.trace.tracer import TraceOptions
+
     args.trace = TraceOptions(
         capacity=args.capacity,
         events=args.events if args.events else None,
@@ -647,6 +652,8 @@ def cmd_profile(args):
     import cProfile
     import pstats
 
+    from repro.core.experiment import run_experiment
+
     config = _config(args, args.affinity)
     profiler = cProfile.Profile()
     # Profiled runs always bypass the cache: a cache hit would profile
@@ -666,6 +673,8 @@ def cmd_profile(args):
 
 
 def cmd_table1(args):
+    from repro.core.report import render_table1
+
     none = _run(args, "none")
     full = _run(args, "full")
     label = "%s %d" % (args.direction.upper(), args.size)
@@ -674,6 +683,8 @@ def cmd_table1(args):
 
 
 def cmd_table3(args):
+    from repro.core.report import render_table3
+
     none = _run(args, "none")
     full = _run(args, "full")
     label = "%s %d" % (args.direction.upper(), args.size)
@@ -682,6 +693,22 @@ def cmd_table3(args):
 
 
 def build_parser():
+    # Only the modules that define the parser's choices and defaults;
+    # none of them imports the simulator.
+    from repro.core.modes import AFFINITY_MODES, EXTENDED_MODES
+    from repro.core.scale import (
+        COALESCE_GRID,
+        COALESCE_VARIANTS,
+        SCALE_CPUS,
+        SCALE_MODES,
+        SCALE_SIZES,
+    )
+    from repro.diagnose.driver import DEFAULT_FACTOR
+    from repro.diagnose.perturb import PERTURB_SPECS
+    from repro.diagnose.saturation import DEFAULT_STEPS, DEFAULT_SUSTAIN_FRAC
+    from repro.runstore.cli import register as register_runs_cli
+    from repro.trace.tracer import TraceOptions
+
     parser = argparse.ArgumentParser(
         prog="repro-affinity",
         description=__doc__,

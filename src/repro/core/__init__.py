@@ -2,17 +2,30 @@
 
 Typical use::
 
-    from repro.core import ExperimentConfig, run_experiment
+    from repro.core.experiment import ExperimentConfig, run_experiment
 
     result = run_experiment(ExperimentConfig(
         direction="tx", message_size=65536, affinity="full"))
     print(result.throughput_gbps, result.cost_ghz_per_gbps)
 
+Running cells:
+
+=====================  =============================================
+:mod:`.experiment`     ``ExperimentConfig``, ``ExperimentResult``,
+                       ``ResultCache``, ``run_experiment``,
+                       ``PAPER_SIZES`` -- no simulator import
+:mod:`.cell`           ``simulate``: one cell's machine, built, run
+                       and measured (the simulator loads here)
+:mod:`.parallel`       ``SweepRunner``, ``default_jobs``
+:mod:`.modes`          ``AFFINITY_MODES``, ``EXTENDED_MODES``,
+                       ``apply_affinity``
+=====================  =============================================
+
 Each analysis module regenerates one artefact of the paper:
 
 =====================  =============================================
 :mod:`.metrics`        Figure 3 (throughput + utilization) and
-                       Figure 4 (GHz/Gbps cost)
+                       Figure 4 (GHz/Gbps cost): ``run_size_sweep``
 :mod:`.characterization`  Table 1 (per-bin baseline characterization)
 :mod:`.lockstudy`      Table 2 (spinlock branch behaviour)
 :mod:`.indicators`     Figure 5 (performance impact indicators)
@@ -20,41 +33,7 @@ Each analysis module regenerates one artefact of the paper:
 :mod:`.clears`         Table 4 (per-CPU machine-clear hotspots)
 :mod:`.correlation`    Table 5 (Spearman rank correlation)
 =====================  =============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.core.characterization import characterize
-from repro.core.clears import clears_assertions, top_clear_functions
-from repro.core.correlation import correlate
-from repro.core.experiment import (
-    PAPER_SIZES,
-    ExperimentConfig,
-    ExperimentResult,
-    ResultCache,
-    run_experiment,
-)
-from repro.core.indicators import impact_indicators
-from repro.core.lockstudy import LockComparison
-from repro.core.metrics import run_size_sweep
-from repro.core.modes import AFFINITY_MODES, apply_affinity
-from repro.core.parallel import SweepRunner, default_jobs
-from repro.core.speedup import improvement_table
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ResultCache",
-    "run_experiment",
-    "run_size_sweep",
-    "SweepRunner",
-    "default_jobs",
-    "PAPER_SIZES",
-    "AFFINITY_MODES",
-    "apply_affinity",
-    "characterize",
-    "improvement_table",
-    "impact_indicators",
-    "LockComparison",
-    "correlate",
-    "top_clear_functions",
-    "clears_assertions",
-]

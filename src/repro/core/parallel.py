@@ -401,6 +401,10 @@ class SweepRunner:
                 self._say_done(done, total, config)
 
     def _run_parallel(self, pending, slots, results, failures):
+        # Load the simulator before the pool forks: every worker
+        # inherits it instead of importing it inside its first cell.
+        import repro.core.cell  # noqa: F401
+
         total = len(pending)
         workers = min(self.jobs, total)
         executor = ProcessPoolExecutor(max_workers=workers)

@@ -12,9 +12,6 @@ from repro.core.correlation import critical_value
 from repro.core.indicators import impact_indicators
 from repro.core.lockstudy import SPINLOCK_DISASSEMBLY
 from repro.core.speedup import improvement_table
-# Diagnosis report section (lives with its subsystem; re-exported here
-# so callers find every render_* under one roof).
-from repro.diagnose.report import render_diagnosis  # noqa: F401
 
 
 def render_figure3(sweep, sizes, modes, direction):

@@ -8,52 +8,22 @@ increments the per-CPU performance-monitoring counters that the
 profiling layer reads -- the same events the paper samples with
 Oprofile (cycles, instructions, branches, mispredictions, LLC misses,
 trace-cache misses, TLB walks, machine clears).
+
+====================  ==============================================
+:mod:`.core`          ``Cpu``: the pure (reference) charging engine
+:mod:`.compiled`      ``CompiledCpu``: the flat-array engine the C
+                      core drives
+:mod:`.engine`        engine selection and the C core's build
+:mod:`.cache`         ``SetAssocCache``
+:mod:`.function`      ``FunctionSpec``, ``FunctionTable``, ``BINS``
+:mod:`.params`        ``CacheGeometry``, ``TlbGeometry``,
+                      ``CostModel``, ``CpuParams``
+:mod:`.events`        the PMU event indices (``CYCLES`` ...
+                      ``MACHINE_CLEARS``), ``EVENT_NAMES``,
+                      ``N_EVENTS``, ``SKID_PERIOD``, ``zero_counts``
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing, so ``from repro.cpu.events import N_EVENTS`` loads only
+:mod:`repro.cpu.events`.
 """
-
-from repro.cpu.cache import SetAssocCache
-from repro.cpu.core import Cpu
-from repro.cpu.events import (
-    BRANCHES,
-    BR_MISPREDICTS,
-    CYCLES,
-    DTLB_WALKS,
-    EVENT_NAMES,
-    INSTRUCTIONS,
-    ITLB_WALKS,
-    L2_HITS,
-    L3_HITS,
-    LLC_MISSES,
-    MACHINE_CLEARS,
-    N_EVENTS,
-    SKID_PERIOD,
-    TC_MISSES,
-    zero_counts,
-)
-from repro.cpu.function import FunctionSpec, FunctionTable
-from repro.cpu.params import CacheGeometry, CostModel, CpuParams, TlbGeometry
-
-__all__ = [
-    "Cpu",
-    "SetAssocCache",
-    "FunctionSpec",
-    "FunctionTable",
-    "CacheGeometry",
-    "TlbGeometry",
-    "CostModel",
-    "CpuParams",
-    "EVENT_NAMES",
-    "N_EVENTS",
-    "CYCLES",
-    "INSTRUCTIONS",
-    "BRANCHES",
-    "BR_MISPREDICTS",
-    "LLC_MISSES",
-    "L2_HITS",
-    "L3_HITS",
-    "TC_MISSES",
-    "ITLB_WALKS",
-    "DTLB_WALKS",
-    "MACHINE_CLEARS",
-    "SKID_PERIOD",
-    "zero_counts",
-]

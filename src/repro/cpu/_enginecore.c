@@ -539,6 +539,10 @@ bp_predict(CpuC *c, int64_t slot, int64_t branches, double base_rate)
         rate += COLD_RATE_C * (double)(WARMUP_INVOCATIONS_C - s)
                 / (double)WARMUP_INVOCATIONS_C;
     seen[slot] = s + 1;
+    /* Rounded twice, like Python's ``residual + branches * rate``:
+     * engine.py builds with -ffp-contract=off, because a fused
+     * multiply-add here rounds once and moves the residual (and every
+     * later mispredict count) off the pure engine's. */
     double expected = c->bp_residual[slot] + (double)branches * rate;
     int64_t whole = (int64_t)expected;
     c->bp_residual[slot] = expected - (double)whole;

@@ -23,7 +23,10 @@ explicit request never fails hard (CI runs the matrix on machines with
 and without a toolchain).  A machine with more than
 :data:`~repro.mem.directory.MAX_DOMAINS` coherence domains runs pure:
 ``compiled`` refuses it, ``auto`` falls back.  ``REPRO_ENGINE_CFLAGS``
-appends compiler flags (for a sanitizer build); they join the cache key.
+appends compiler flags (for a sanitizer build).  The core always
+builds with ``-ffp-contract=off``, so no compiler fuses a multiply-add
+into one rounding the pure engine never makes; every flag joins the
+build-cache key.
 """
 
 import hashlib
@@ -68,9 +71,16 @@ def _build_and_load():
         source = f.read()
     tag = "%s-%d.%d" % (sys.implementation.name, sys.version_info[0],
                         sys.version_info[1])
+    # -ffp-contract=off: the C core's floating point must round like
+    # Python's, one operation at a time.  GCC's default (fast) and
+    # clang's (on) may fuse ``a + b * c`` into one FMA rounding, and
+    # FMA is in the base instruction set on aarch64 (and enabled by
+    # -mfma or -march=native on x86-64).
+    base = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
     extra = os.environ.get("REPRO_ENGINE_CFLAGS", "").split()
     key = hashlib.sha256(
-        source + tag.encode() + " ".join(extra).encode()).hexdigest()[:16]
+        source + tag.encode() + " ".join(base + extra).encode()
+    ).hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     cache = _cache_dir()
     mod_path = os.path.join(cache, "_enginecore_%s%s" % (key, suffix))
@@ -79,8 +89,7 @@ def _build_and_load():
         cc = sysconfig.get_config_var("CC") or "cc"
         include = sysconfig.get_paths()["include"]
         tmp_path = mod_path + ".tmp.%d" % os.getpid()
-        cmd = cc.split() + [
-            "-O2", "-fPIC", "-shared",
+        cmd = cc.split() + base + [
             "-o", tmp_path, src_path,
             "-I", include,
         ] + extra

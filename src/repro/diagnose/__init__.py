@@ -11,31 +11,16 @@ Entry points: :func:`find_saturation` for one config,
 :func:`run_diagnosis` for the (knob x direction x mode) grid,
 :func:`render_diagnosis` for the text report, and the
 ``repro-affinity diagnose`` CLI subcommand.
+
+====================  ==============================================
+:mod:`.saturation`    ``find_saturation``, ``SaturationSearch``,
+                      ``DEFAULT_STEPS``, ``DEFAULT_SUSTAIN_FRAC``
+:mod:`.perturb`       ``PERTURB_SPECS``, ``PerturbSpec``,
+                      ``resolve_knobs``
+:mod:`.driver`        ``run_diagnosis``, ``DEFAULT_FACTOR``
+:mod:`.report`        ``render_diagnosis``
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.diagnose.driver import DEFAULT_FACTOR, run_diagnosis
-from repro.diagnose.perturb import (
-    PERTURB_SPECS,
-    PerturbSpec,
-    resolve_knobs,
-)
-from repro.diagnose.report import render_diagnosis
-from repro.diagnose.saturation import (
-    DEFAULT_STEPS,
-    DEFAULT_SUSTAIN_FRAC,
-    SaturationSearch,
-    find_saturation,
-)
-
-__all__ = [
-    "DEFAULT_FACTOR",
-    "DEFAULT_STEPS",
-    "DEFAULT_SUSTAIN_FRAC",
-    "PERTURB_SPECS",
-    "PerturbSpec",
-    "SaturationSearch",
-    "find_saturation",
-    "render_diagnosis",
-    "resolve_knobs",
-    "run_diagnosis",
-]

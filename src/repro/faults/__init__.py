@@ -14,14 +14,11 @@ the simulator trustworthy under adversity:
 * :class:`InvariantChecker` -- end-of-run validation of byte-stream
   integrity, skb conservation and event-queue monotonicity, raising
   :class:`SimulationInvariantError` with the event trace tail.
+
+Defined in :mod:`repro.faults.plan` (``FaultPlan``, ``FaultInjector``)
+and :mod:`repro.faults.invariants` (``InvariantChecker``,
+``SimulationInvariantError``).
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.faults.invariants import InvariantChecker, SimulationInvariantError
-from repro.faults.plan import FaultInjector, FaultPlan
-
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantChecker",
-    "SimulationInvariantError",
-]

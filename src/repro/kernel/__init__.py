@@ -21,21 +21,9 @@ The paper's mechanisms live here:
 * :mod:`repro.kernel.machine` -- the conductor: steps each CPU through
   its activity stack (hardirq > softirq > task), delivers interrupts
   with machine clears, and context-switches tasks.
+* :mod:`repro.kernel.context` -- ``ExecContext``, the handle through
+  which kernel and stack code charge CPU work.
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.kernel.context import ExecContext
-from repro.kernel.locks import SpinLock
-from repro.kernel.machine import Machine
-from repro.kernel.scheduler import Scheduler
-from repro.kernel.task import Task, WaitQueue
-from repro.kernel.timers import KernelTimer
-
-__all__ = [
-    "ExecContext",
-    "Machine",
-    "Scheduler",
-    "SpinLock",
-    "Task",
-    "WaitQueue",
-    "KernelTimer",
-]

@@ -210,7 +210,7 @@ class Machine:
         self._resettables = []
         self.tick_cycles = hz // TICK_HZ
         self.ipis_sent = 0
-        #: Optional :class:`repro.trace.Tracer`.  ``None`` (the
+        #: Optional :class:`repro.trace.tracer.Tracer`.  ``None`` (the
         #: default) keeps every tracepoint site down to one attribute
         #: load and a comparison -- untraced runs are unperturbed.
         self.tracer = None

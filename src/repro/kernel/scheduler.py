@@ -76,7 +76,7 @@ class Scheduler:
         #: what lets interrupt affinity pull processes toward their
         #: NIC's CPU while a saturated default-routing CPU0 repels them.
         self.cpu_load = [0.0] * n_cpus
-        #: Optional :class:`repro.trace.Tracer`, wired by
+        #: Optional :class:`repro.trace.tracer.Tracer`, wired by
         #: ``Machine.attach_tracer``; every ``task.migrations``
         #: increment emits a ``sched_migrate`` tracepoint so trace
         #: migration counts match the experiment counter exactly.

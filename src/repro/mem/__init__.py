@@ -9,23 +9,16 @@ simulated physical address space, and the cache models in
 That is what makes the paper's affinity effects *emergent* here: the
 same bytes are touched regardless of placement, but placement decides
 which CPU's caches hold them.
+
+====================  ==============================================
+:mod:`.layout`        ``AddressSpace``, ``MemoryObject``,
+                      ``line_span``, ``CACHE_LINE``, ``PAGE_SIZE``
+:mod:`.system`        ``MemorySystem``, ``DirectoryEntry`` (the pure
+                      engine's coherence directory)
+:mod:`.arraysystem`   the compiled engine's memory system
+:mod:`.directory`     its open-addressing directory
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.mem.layout import (
-    CACHE_LINE,
-    PAGE_SIZE,
-    AddressSpace,
-    MemoryObject,
-    line_span,
-)
-from repro.mem.system import DirectoryEntry, MemorySystem
-
-__all__ = [
-    "CACHE_LINE",
-    "PAGE_SIZE",
-    "AddressSpace",
-    "MemoryObject",
-    "line_span",
-    "MemorySystem",
-    "DirectoryEntry",
-]

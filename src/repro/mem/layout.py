@@ -101,27 +101,31 @@ class AddressSpace:
             "kernel": KERNEL_DATA_BASE,
             "user": USER_BASE,
         }
-        self._objects = []
-
-    @property
-    def objects(self):
-        """All objects allocated so far, in allocation order."""
-        return list(self._objects)
 
     def alloc(self, name, size, zone="kernel", align=CACHE_LINE):
         """Allocate ``size`` bytes in ``zone`` aligned to ``align``."""
-        if size <= 0:
-            raise ValueError("allocation size must be positive, got %r" % size)
+        return self.alloc_run(((name, size),), zone, align)[0]
+
+    def alloc_run(self, items, zone="kernel", align=CACHE_LINE):
+        """Allocate each ``(name, size)`` of ``items`` in order in
+        ``zone``, each aligned to ``align``: the objects and addresses
+        of one :meth:`alloc` call per item, validated once."""
         if align <= 0 or (align & (align - 1)) != 0:
             raise ValueError("alignment must be a power of two, got %r" % align)
         if zone not in self._cursors:
             raise KeyError("unknown zone %r" % zone)
         cursor = self._cursors[zone]
-        addr = (cursor + align - 1) & ~(align - 1)
-        self._cursors[zone] = addr + size
-        obj = MemoryObject(name, addr, size)
-        self._objects.append(obj)
-        return obj
+        mask = ~(align - 1)
+        objs = []
+        for name, size in items:
+            if size <= 0:
+                raise ValueError(
+                    "allocation size must be positive, got %r" % size)
+            addr = (cursor + align - 1) & mask
+            cursor = addr + size
+            objs.append(MemoryObject(name, addr, size))
+        self._cursors[zone] = cursor
+        return objs
 
     def alloc_page_aligned(self, name, size, zone="kernel"):
         """Allocate rounding the start to a page boundary (payload buffers)."""

@@ -20,9 +20,8 @@ function tagged with one of the paper's functional bins:
   client machines), which keeps the SUT the bottleneck;
 * :mod:`repro.net.stack` -- assembly: connections, IRQ lines, softirq
   actions, and the syscall entry points the workload calls.
+* :mod:`repro.net.params` -- ``NetParams``, the stack's constants.
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.net.params import NetParams
-from repro.net.stack import Connection, NetworkStack
-
-__all__ = ["NetParams", "NetworkStack", "Connection"]

@@ -75,6 +75,21 @@ class SlabCache:
         self._free_ids.discard(id(obj))
         return obj
 
+    def reserve(self, n):
+        """``(name, size)`` of the next ``n`` objects this cache
+        creates, counted as created, allocated and live -- what ``n``
+        :meth:`alloc` calls on empty freelists would create.  The
+        caller allocates them (:meth:`SkbPools.alloc_ring`)."""
+        if self._global or any(self._per_cpu):
+            raise RuntimeError(
+                "%s: reserve needs empty freelists" % self.name)
+        first = self.created + 1
+        self.created += n
+        self.allocs += n
+        self.live += n
+        return [("%s#%d" % (self.name, k), self.obj_size)
+                for k in range(first, first + n)]
+
     def free(self, obj, cpu_index):
         """Return an object to ``cpu_index``'s freelist (LIFO = hot)."""
         if id(obj) in self._free_ids:
@@ -269,11 +284,18 @@ class SkbPools:
             tracer.emit("skb_alloc", cpu=ctx.cpu_index, ts=ctx.now)
         return clone
 
-    def alloc_nocharge(self, cpu_index, conn=None):
-        """Setup-time allocation (ring population) -- no CPU charge."""
-        head = self.head_cache.alloc(cpu_index)
-        data = self.data_cache.alloc(cpu_index)
-        return SkBuff(head, data, conn=conn)
+    def alloc_ring(self, n):
+        """Setup-time allocation of ``n`` skbs to fill a receive ring
+        -- no CPU charge.  One address-space run gives the objects
+        (``skb_head#k``/``skb_data#k``, interleaved), addresses and
+        slab counters of ``n`` head-then-data allocations on empty
+        freelists."""
+        items = []
+        for pair in zip(self.head_cache.reserve(n),
+                        self.data_cache.reserve(n)):
+            items.extend(pair)
+        objs = self.machine.space.alloc_run(items)
+        return [SkBuff(objs[i], objs[i + 1]) for i in range(0, 2 * n, 2)]
 
     def free_nocharge(self, skb, cpu_index):
         """Device-side free (TOE retransmit-queue trim runs on the NIC

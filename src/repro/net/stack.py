@@ -278,8 +278,8 @@ class NetworkStack:
         """Fill every receive ring before traffic starts (driver init)."""
         for nic in self.nics:
             for rxq in nic.rxqs:
-                for _ in range(self.params.rx_ring_size):
-                    rxq.post_rx(self.pools.alloc_nocharge(0))
+                for skb in self.pools.alloc_ring(self.params.rx_ring_size):
+                    rxq.post_rx(skb)
 
     def start_peers(self):
         """Kick active peers (receive and iSCSI experiments)."""

@@ -8,18 +8,15 @@ sample-based view (with configurable sampling period and interrupt
 skid) on top for fidelity to the paper's methodology, and
 :mod:`repro.prof.procstat` reproduces the ``/proc/interrupts`` picture
 the authors use to sanity-check interrupt routing.
+
+====================  ==============================================
+:mod:`.accounting`    ``ExactAccounting``
+:mod:`.slotaccounting`  ``ArrayAccounting`` (compiled engine)
+:mod:`.oprofile`      ``OprofileView``
+:mod:`.procstat`      ``ProcInterrupts``
+:mod:`.tuning`        ``analyze``, ``render_advice``
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.prof.accounting import ExactAccounting
-from repro.prof.oprofile import OprofileView
-from repro.prof.procstat import ProcInterrupts
-from repro.prof.tuning import analyze as tuning_analyze
-from repro.prof.tuning import render_advice
-
-__all__ = [
-    "ExactAccounting",
-    "OprofileView",
-    "ProcInterrupts",
-    "tuning_analyze",
-    "render_advice",
-]

@@ -105,7 +105,7 @@ class RunStore:
     :meth:`lookup_cell` / :meth:`record_cell`; the ``executed`` /
     ``replayed`` counters land in the manifest's per-session records
     (the crash/resume tests assert on them), persisted at
-    :meth:`checkpoint` (which :func:`repro.diagnose.run_diagnosis`
+    :meth:`checkpoint` (which :func:`repro.diagnose.driver.run_diagnosis`
     calls between bisection waves) and :meth:`finalize`.  Cells are
     the only records it writes; a resumed study rebuilds any other
     state by replaying them.

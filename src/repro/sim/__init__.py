@@ -10,30 +10,15 @@ The simulation is *conservative*: the engine always advances the
 globally earliest pending event, so cross-resource interactions (e.g.
 one CPU invalidating a cache line another CPU is about to read) are
 observed in a causally consistent order.
+
+====================  ==============================================
+:mod:`.events`        ``Event``, ``EventQueue``, ``SimulationEngine``
+:mod:`.rng`           ``RngStreams``
+:mod:`.units`         ``CYCLES_PER_SECOND_2GHZ``, ``gbps``, ``mbps``,
+                      ``cycles_to_seconds``, ``seconds_to_cycles``,
+                      ``bytes_to_bits``, ``bits_to_bytes``
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.sim.events import Event, EventQueue, SimulationEngine
-from repro.sim.rng import RngStreams
-from repro.sim.units import (
-    CYCLES_PER_SECOND_2GHZ,
-    bits_to_bytes,
-    bytes_to_bits,
-    cycles_to_seconds,
-    gbps,
-    mbps,
-    seconds_to_cycles,
-)
-
-__all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
-    "RngStreams",
-    "CYCLES_PER_SECOND_2GHZ",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "cycles_to_seconds",
-    "seconds_to_cycles",
-    "gbps",
-    "mbps",
-]

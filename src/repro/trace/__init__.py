@@ -5,50 +5,18 @@ run a traced experiment (``ExperimentConfig(trace=True)``); analyse
 with :mod:`repro.trace.analyses`; export with
 :mod:`repro.trace.export` (Chrome trace-event JSON for Perfetto, or
 collapsed stacks for flamegraphs).
+
+====================  ==============================================
+:mod:`.tracer`        ``Tracer``, ``TraceOptions``, ``TraceEvent``,
+                      ``EVENT_NAMES``
+:mod:`.analyses`      ``LatencyStats``, ``summarize``,
+                      ``irq_to_softirq_latencies``,
+                      ``irq_to_copy_latencies``, ``render_timeline``,
+                      ``top_producers`` and the per-CPU counts
+:mod:`.export`        ``to_chrome_trace``/``write_chrome_trace``,
+                      ``to_flamegraph``/``write_flamegraph``
+====================  ==============================================
+
+Import names from their defining module; the package re-exports
+nothing.
 """
-
-from repro.trace.tracer import (
-    EVENT_NAMES,
-    TraceEvent,
-    TraceOptions,
-    Tracer,
-)
-from repro.trace.analyses import (
-    LatencyStats,
-    counts_by_name,
-    irq_to_copy_latencies,
-    irq_to_softirq_latencies,
-    migration_count,
-    per_cpu_counts,
-    per_cpu_timeline,
-    render_timeline,
-    summarize,
-    top_producers,
-)
-from repro.trace.export import (
-    to_chrome_trace,
-    to_flamegraph,
-    write_chrome_trace,
-    write_flamegraph,
-)
-
-__all__ = [
-    "EVENT_NAMES",
-    "TraceEvent",
-    "TraceOptions",
-    "Tracer",
-    "LatencyStats",
-    "counts_by_name",
-    "irq_to_copy_latencies",
-    "irq_to_softirq_latencies",
-    "migration_count",
-    "per_cpu_counts",
-    "per_cpu_timeline",
-    "render_timeline",
-    "summarize",
-    "top_producers",
-    "to_chrome_trace",
-    "to_flamegraph",
-    "write_chrome_trace",
-    "write_flamegraph",
-]

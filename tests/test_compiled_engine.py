@@ -15,7 +15,10 @@ the pure engine is the reference and needs no C compiler.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import sysconfig
 import warnings
 
@@ -323,9 +326,57 @@ class TestBuildFlags:
             with pytest.raises(OSError):
                 engine_mod._build_and_load()
         assert commands[1][-2:] == ["-O1", "-fsanitize=undefined"]
+        assert all("-ffp-contract=off" in cmd for cmd in commands)
         plain_out, flagged_out = (cmd[cmd.index("-o") + 1]
                                   for cmd in commands)
         assert plain_out != flagged_out
+
+
+def _fma_host():
+    """Whether this CPU reports FMA and the compiler accepts -mfma."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            if "fma" not in fh.read().split():
+                return False
+    except OSError:
+        return False
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    try:
+        probe = subprocess.run(
+            cc + ["-mfma", "-x", "c", "-c", "-o", os.devnull, "-"],
+            input=b"int x;\n", capture_output=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return probe.returncode == 0
+
+
+class TestFusedMultiplyAdd:
+    """A core built where the compiler may fuse ``a + b*c`` (here:
+    -mfma on an FMA host) still matches the pure engine's digests."""
+
+    @pytest.mark.skipif(not compiled_available or not _fma_host(),
+                        reason="needs the compiled engine, an FMA CPU "
+                               "and a compiler that accepts -mfma")
+    def test_fma_build_matches_golden_digest(self, tmp_path):
+        from tests.test_golden_determinism import GOLDEN
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(
+            os.environ,
+            REPRO_ENGINE="compiled",
+            REPRO_ENGINE_CACHE=str(tmp_path / "engine"),
+            REPRO_ENGINE_CFLAGS="-mfma",
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        # -W error: a core that fails to build must not fall back to
+        # the pure engine and match the digest that way.
+        script = ("from tests.test_golden_determinism import _cell\n"
+                  "print(_cell('rx', 1024, 'full')[1])")
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.strip() == GOLDEN["rx-1024-full"]["sha256"]
 
 
 class TestNoToolchain:

@@ -7,14 +7,10 @@ import pytest
 from repro.cli import main
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.cpu.params import CpuParams, cpu_params_from_overrides
-from repro.diagnose import (
-    PERTURB_SPECS,
-    SaturationSearch,
-    find_saturation,
-    render_diagnosis,
-    resolve_knobs,
-    run_diagnosis,
-)
+from repro.diagnose.driver import run_diagnosis
+from repro.diagnose.perturb import PERTURB_SPECS, resolve_knobs
+from repro.diagnose.report import render_diagnosis
+from repro.diagnose.saturation import SaturationSearch, find_saturation
 from repro.net.params import NetParams
 
 #: A cheap cell every expensive test here shares (1+3ms windows).

@@ -155,17 +155,18 @@ class TestApplyAffinityExtended:
     @pytest.mark.parametrize("mode", ["rotate", "rss"])
     def test_experiment_stops_controller(self, mode, monkeypatch):
         """run_experiment tears the controller down at window end."""
+        from repro.core import cell as cell_mod
         from repro.core import experiment as experiment_mod
 
         captured = {}
-        real = experiment_mod.apply_affinity
+        real = cell_mod.apply_affinity
 
         def capturing(machine, stack, tasks, m):
             applied = real(machine, stack, tasks, m)
             captured.update(applied)
             return applied
 
-        monkeypatch.setattr(experiment_mod, "apply_affinity", capturing)
+        monkeypatch.setattr(cell_mod, "apply_affinity", capturing)
         config = experiment_mod.ExperimentConfig(
             direction="tx", message_size=16384, affinity=mode,
             n_connections=4, warmup_ms=4, measure_ms=6,

@@ -16,7 +16,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.modes import AFFINITY_MODES
@@ -72,5 +72,16 @@ def configs(draw):
 
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(configs())
+# The derandomized draws never pick these two, so they are pinned: the
+# GRO aging timer (132 timer flushes in this window) and the two-queue
+# receive path under reordering.
+@example(ExperimentConfig(
+    direction="rx", message_size=16384, affinity="full", n_connections=4,
+    net_overrides={"gro": True, "gro_flush_us": 10},
+    warmup_ms=1, measure_ms=1, seed=3))
+@example(ExperimentConfig(
+    direction="rx", message_size=16384, affinity="rss", n_queues=2,
+    n_cpus=4, n_connections=8, faults="reorder=0.01",
+    warmup_ms=1, measure_ms=1, seed=3))
 def test_payload_identical_under_both_engines(config):
     assert _payload_sha(config, "pure") == _payload_sha(config, "compiled")

@@ -16,12 +16,8 @@ from repro.apps.ttcp import TtcpWorkload
 from repro.core.experiment import ExperimentConfig, ResultCache, run_experiment
 from repro.core.parallel import SweepRunner
 from repro.cpu.events import CYCLES
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    InvariantChecker,
-    SimulationInvariantError,
-)
+from repro.faults.invariants import InvariantChecker, SimulationInvariantError
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.kernel.machine import Machine
 from repro.net.params import NetParams
 from repro.net.stack import NetworkStack

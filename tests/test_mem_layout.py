@@ -69,6 +69,22 @@ class TestAddressSpace:
             space.alloc("bad", 10, align=3)
         with pytest.raises(KeyError):
             space.alloc("bad", 10, zone="nowhere")
+        with pytest.raises(ValueError):
+            space.alloc_run([("ok", 64), ("bad", 0)])
+
+    def test_alloc_run_equals_one_alloc_per_item(self):
+        items = [("a", 256), ("b", 2048), ("c", 1), ("d", 4096)]
+        for align in (64, 4096):
+            run, single = AddressSpace(), AddressSpace()
+            run.alloc("lead", 10)
+            single.alloc("lead", 10)
+            got = run.alloc_run(items, zone="user", align=align)
+            want = [single.alloc(name, size, zone="user", align=align)
+                    for name, size in items]
+            assert [(o.name, o.addr, o.size) for o in got] == \
+                [(o.name, o.addr, o.size) for o in want]
+            assert run.alloc("next", 8, zone="user").addr == \
+                single.alloc("next", 8, zone="user").addr
 
 
 class TestMemoryObject:

@@ -27,8 +27,8 @@ def rig():
         )
     )
     r.pools = SkbPools(r.machine, r.params)
-    for _ in range(32):
-        r.rxq.post_rx(r.pools.alloc_nocharge(0))
+    for skb in r.pools.alloc_ring(32):
+        r.rxq.post_rx(skb)
     return r
 
 
@@ -62,11 +62,17 @@ class TestSingleQueueDevice:
         assert nic.tx_lock_for(7) is nic.tx_lock
         assert nic.rxq_for(7) is rxq
 
-    def test_one_queue_allocates_nothing(self):
+    def test_one_queue_allocates_nothing(self, monkeypatch):
         machine = Machine(n_cpus=2, seed=1)
-        before = len(machine.space.objects)
+        added = []
+        real_alloc = machine.space.alloc
+
+        def recording_alloc(name, *args, **kwargs):
+            added.append(name)
+            return real_alloc(name, *args, **kwargs)
+
+        monkeypatch.setattr(machine.space, "alloc", recording_alloc)
         Nic(machine, 3, 0x1A, NetParams())
-        added = [obj.name for obj in machine.space.objects[before:]]
         assert added == [
             "eth3:tx_ring", "eth3:rx_ring", "eth3:regs", "lock:tx_lock:eth3",
         ]

@@ -147,5 +147,41 @@ class TestSkbPools:
     def test_alloc_nocharge_does_not_charge(self, pools):
         machine, p = pools
         busy = machine.cpus[0].busy_cycles
-        p.alloc_nocharge(0)
+        p.alloc_ring(4)
         assert machine.cpus[0].busy_cycles == busy
+
+    @pytest.mark.parametrize("n", [1, 3, 256])
+    def test_alloc_ring_equals_one_allocation_per_object(self, n):
+        # The one-pass ring fill must hand out exactly what n
+        # head-then-data slab allocations on empty freelists would:
+        # same names, addresses and counters, and the same cursor for
+        # whatever the space allocates next.
+        def build():
+            machine = Machine(n_cpus=2, seed=1)
+            return machine, SkbPools(machine, NetParams())
+
+        machine, pools = build()
+        ring = pools.alloc_ring(n)
+        twin, twin_pools = build()
+        reference = [(twin_pools.head_cache.alloc(0),
+                      twin_pools.data_cache.alloc(0)) for _ in range(n)]
+
+        def layout(objs):
+            return [(o.name, o.addr, o.size) for o in objs]
+
+        assert layout(s.head for s in ring) == layout(h for h, _ in reference)
+        assert layout(s.data for s in ring) == layout(d for _, d in reference)
+        for cache, twin_cache in ((pools.head_cache, twin_pools.head_cache),
+                                  (pools.data_cache, twin_pools.data_cache)):
+            assert (cache.created, cache.allocs, cache.live) == \
+                (twin_cache.created, twin_cache.allocs, twin_cache.live) \
+                == (n, n, n)
+        assert layout([machine.space.alloc("next", 100)]) == \
+            layout([twin.space.alloc("next", 100)])
+
+    def test_alloc_ring_needs_empty_freelists(self, pools):
+        machine, p = pools
+        ctx = machine.states[0].softirq_ctx
+        p.free(ctx, p.alloc(ctx))
+        with pytest.raises(RuntimeError):
+            p.alloc_ring(2)

@@ -154,7 +154,7 @@ class TestSoftnetData:
 class TestSkBuffRanges:
     def test_ranges_are_object_prefixes(self):
         machine = Machine(n_cpus=2, seed=1)
-        skb = SkbPools(machine, NetParams()).alloc_nocharge(0)
+        skb = SkbPools(machine, NetParams()).alloc_ring(1)[0]
         for size in sorted(HEAD_RANGE_SIZES):
             assert skb.head_range(size) == skb.head.field(0, size)
         assert skb.head_range() == skb.head.field(0, SKB_HEAD_SIZE)
@@ -162,7 +162,7 @@ class TestSkBuffRanges:
 
     def test_head_range_refuses_other_sizes(self):
         machine = Machine(n_cpus=2, seed=1)
-        skb = SkbPools(machine, NetParams()).alloc_nocharge(0)
+        skb = SkbPools(machine, NetParams()).alloc_ring(1)[0]
         for size in (0, 32, 192, SKB_HEAD_SIZE + 64):
             with pytest.raises(ValueError):
                 skb.head_range(size)

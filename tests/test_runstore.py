@@ -314,7 +314,7 @@ class TestRunStore:
         # They must still open, resume (replaying every journaled cell
         # into a byte-identical report), index, list and show.
         from repro.cli import main
-        from repro.diagnose import run_diagnosis
+        from repro.diagnose.driver import run_diagnosis
 
         root = str(tmp_path)
         params = dict(directions=("tx",), modes=("none",),

@@ -7,11 +7,8 @@ import pytest
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.report import render_trace_crosscheck
 from repro.kernel.machine import Machine
-from repro.trace import (
-    EVENT_NAMES,
+from repro.trace.analyses import (
     LatencyStats,
-    TraceOptions,
-    Tracer,
     counts_by_name,
     irq_to_copy_latencies,
     irq_to_softirq_latencies,
@@ -20,13 +17,15 @@ from repro.trace import (
     per_cpu_timeline,
     render_timeline,
     summarize,
+    top_producers,
+)
+from repro.trace.export import (
     to_chrome_trace,
     to_flamegraph,
-    top_producers,
     write_chrome_trace,
     write_flamegraph,
 )
-from repro.trace.tracer import TraceEvent
+from repro.trace.tracer import EVENT_NAMES, TraceEvent, TraceOptions, Tracer
 
 
 class FakeEngine:
