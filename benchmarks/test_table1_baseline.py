@@ -10,7 +10,10 @@ Paper's shapes asserted here:
 * branches are ~10-16% of instructions, mispredicts low.
 """
 
-from repro.core.characterization import characterize
+from repro.core.characterization import (
+    characterization_assertions,
+    characterize,
+)
 from repro.core.report import render_table1
 
 from conftest import write_artifact
@@ -34,13 +37,13 @@ def test_table1_tx64(benchmark, tx64_pair, artifacts_dir):
     )
     assert hot > 0.55
 
+    claims = characterization_assertions(rows_none, rows_full)
     # Engine's share is stable across modes.
-    assert 0.15 <= rows_none["engine"].pct_cycles <= 0.35
-    assert 0.15 <= rows_full["engine"].pct_cycles <= 0.35
+    assert claims["engine share is 15-35% of cycles"]
 
     # Affinity improves overall CPI and MPI.
-    assert rows_full["overall"].cpi < rows_none["overall"].cpi
-    assert rows_full["overall"].mpi < rows_none["overall"].mpi
+    assert claims["overall CPI improves with affinity"]
+    assert claims["overall MPI improves with affinity"]
 
     # MPI zone (paper: 0.0078 -> 0.0047).
     assert 0.002 < rows_none["overall"].mpi < 0.02
@@ -102,10 +105,11 @@ def test_branch_profile(benchmark, tx64_pair, tx128_pair):
     def check():
         """Branches ~10-16% of instructions; mispredicts < ~2.5%."""
         for pair in (tx64_pair, tx128_pair):
-            for result in pair:
-                rows = characterize(result)
+            rows_none, rows_full = _corner_rows(pair)
+            for rows in (rows_none, rows_full):
                 assert 0.08 <= rows["overall"].pct_branches <= 0.20
-                assert rows["overall"].pct_mispredicted < 0.025
+            claims = characterization_assertions(rows_none, rows_full)
+            assert claims["branch misprediction stays low (<2.5%)"]
 
 
     benchmark.pedantic(check, rounds=1, iterations=1)

@@ -27,14 +27,9 @@ class TextTable:
             )
         self.rows.append([str(c) for c in cells])
 
-    def add_separator(self):
-        self.rows.append(None)
-
     def render(self):
         widths = [len(h) for h in self.headers]
         for row in self.rows:
-            if row is None:
-                continue
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
         lines = []
@@ -44,12 +39,7 @@ class TextTable:
         lines.append(" | ".join(h.ljust(w) for h, w in zip(self.headers, widths)))
         lines.append(sep)
         for row in self.rows:
-            if row is None:
-                lines.append(sep)
-            else:
-                lines.append(
-                    " | ".join(c.rjust(w) for c, w in zip(row, widths))
-                )
+            lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
     def __str__(self):

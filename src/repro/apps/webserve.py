@@ -36,7 +36,6 @@ class WebServerWorkload:
         #: lookup), charged to the non-stack 'application' bin.
         self.app_instructions = app_instructions
         self.requests_served = [0] * len(stack.connections)
-        self.connections_served = [0] * len(stack.connections)
         self.bytes_served = [0] * len(stack.connections)
         self.tasks = []
         machine.add_resettable(self)
@@ -80,7 +79,6 @@ class WebServerWorkload:
                     self.bytes_served[index] += response
                     yield ("preempt_check",)
                 yield from stack.sock_close(ctx, conn)
-                self.connections_served[index] += 1
 
         return body
 
@@ -96,15 +94,11 @@ class WebServerWorkload:
     def total_requests(self):
         return sum(self.requests_served)
 
-    def total_connections(self):
-        return sum(self.connections_served)
-
     def total_bytes(self):
         return sum(self.bytes_served)
 
     def reset_stats(self):
         self.requests_served = [0] * len(self.requests_served)
-        self.connections_served = [0] * len(self.connections_served)
         self.bytes_served = [0] * len(self.bytes_served)
 
     def requests_per_second(self, window_cycles, hz):

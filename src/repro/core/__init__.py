@@ -32,6 +32,8 @@ Each analysis module regenerates one artefact of the paper:
 :mod:`.speedup`        Table 3 (Amdahl improvement decomposition)
 :mod:`.clears`         Table 4 (per-CPU machine-clear hotspots)
 :mod:`.correlation`    Table 5 (Spearman rank correlation)
+:mod:`.partition`      Section 4's projection of the fast-path gain
+                       onto a mixed workload
 =====================  =============================================
 
 Import names from their defining module; the package re-exports

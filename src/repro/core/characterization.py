@@ -77,8 +77,8 @@ def _row(bin, vec, total_cycles):
 def characterization_assertions(rows_none, rows_full):
     """The qualitative Table 1 claims, as checkable predicates.
 
-    Returns ``{claim: bool}`` -- used by the benchmark harness to
-    report which of the paper's observations hold in this run.
+    Returns ``{claim: bool}``; ``benchmarks/test_table1_baseline.py``
+    asserts the claims its Table 1 corners share with this list.
     """
     return {
         "engine share is 15-35% of cycles": (

@@ -57,7 +57,10 @@ def dominant_events(rows, top=2):
 
 
 def indicator_assertions(rows):
-    """The paper's Figure 5 claims."""
+    """The paper's Figure 5 claims, as ``{claim: bool}``.
+
+    ``benchmarks/test_fig5_indicators.py`` asserts the dominance, TLB
+    and branch claims for every corner."""
     by_label = {label: share for label, _, share in rows}
     dominant = dominant_events(rows)
     return {

@@ -3,14 +3,13 @@
 Figure 3 plots TX and RX bandwidth (lines) and CPU utilization (bars)
 against transaction size for the four affinity modes; Figure 4 plots
 the normalized cost, GHz/Gbps.  ``run_size_sweep`` produces every
-(size, mode) point; the series helpers shape them for reporting.
+(size, mode) point; the gain helpers compare modes at one size.
 """
 
 import warnings
 
 from repro.core.experiment import PAPER_SIZES, ExperimentConfig
 from repro.core.modes import AFFINITY_MODES
-from repro.core.parallel import SweepRunner
 
 
 def dedupe_cells(cells, axes="sizes/cpus/modes"):
@@ -21,8 +20,7 @@ def dedupe_cells(cells, axes="sizes/cpus/modes"):
     in ``dict(zip(cells, flat))`` -- the dict keeps only the last.
     Collapsing up front keeps the result dict complete *and* skips the
     redundant runs; the warning tells the caller their grid was odd.
-    ``axes`` names the grid axes in the warning text (the replication
-    helpers pass ``"seeds/modes"``).
+    ``axes`` names the grid axes in the warning text.
     """
     cells = list(cells)
     seen = set()
@@ -76,7 +74,11 @@ def run_size_sweep(
         )
         for size, mode in cells
     ]
-    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
+    return dict(zip(cells, runner.run(configs)))
 
 
 def _cell_attr(sweep, size, mode, attr):
@@ -84,41 +86,13 @@ def _cell_attr(sweep, size, mode, attr):
 
     :class:`~repro.core.parallel.SweepRunner` maps cells that failed
     despite retries to ``None``; the report renderers show those as
-    FAIL / ``--``, and the series helpers must propagate the hole the
+    FAIL / ``--``, and the gain helpers must propagate the hole the
     same way instead of raising ``AttributeError``.
     """
     result = sweep.get((size, mode))
     if result is None:
         return None
     return getattr(result, attr)
-
-
-def _series(sweep, sizes, modes, attr):
-    return {
-        mode: [_cell_attr(sweep, size, mode, attr) for size in sizes]
-        for mode in modes
-    }
-
-
-def bandwidth_series(sweep, sizes, modes=AFFINITY_MODES):
-    """Figure 3 lines: ``{mode: [Mb/s per size]}``.
-
-    Failed (``None``) cells yield ``None`` entries."""
-    return _series(sweep, sizes, modes, "throughput_mbps")
-
-
-def utilization_series(sweep, sizes, modes=AFFINITY_MODES):
-    """Figure 3 bars: ``{mode: [mean CPU utilization per size]}``.
-
-    Failed (``None``) cells yield ``None`` entries."""
-    return _series(sweep, sizes, modes, "utilization")
-
-
-def cost_series(sweep, sizes, modes=AFFINITY_MODES):
-    """Figure 4: ``{mode: [GHz/Gbps per size]}``.
-
-    Failed (``None``) cells yield ``None`` entries."""
-    return _series(sweep, sizes, modes, "cost_ghz_per_gbps")
 
 
 def throughput_gain(sweep, size, mode, baseline="none"):

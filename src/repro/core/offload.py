@@ -19,7 +19,6 @@ per-KB bin costs are an apples-to-apples measure of work per byte.
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import dedupe_cells
-from repro.core.parallel import SweepRunner
 from repro.cpu.events import CYCLES
 
 #: The study's canonical cell: the paper's largest transaction size,
@@ -82,7 +81,11 @@ def run_offload_study(
         )
         for direction, mode in cells
     ]
-    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
+    return dict(zip(cells, runner.run(configs)))
 
 
 def bin_cycles_per_kb(result, bin):

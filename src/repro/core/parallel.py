@@ -9,10 +9,9 @@ parallel, and a parallel run must produce *byte-identical*
 ``ExperimentResult.to_dict()`` payloads to a serial one.
 
 Every study driver (:func:`~repro.core.metrics.run_size_sweep`, the
-scale/coalesce/offload sweeps, :mod:`repro.core.repeat` and
-:mod:`repro.diagnose`) hands its cells to one :class:`SweepRunner`,
-passed as ``runner=``.  The runner optionally shards cells across a
-``ProcessPoolExecutor``:
+scale/coalesce/offload sweeps and :mod:`repro.diagnose`) hands its
+cells to one :class:`SweepRunner`, passed as ``runner=``.  The runner
+optionally shards cells across a ``ProcessPoolExecutor``:
 
 * **In-flight dedup** -- configs with the same cache key are simulated
   once, however many times they appear in the request.

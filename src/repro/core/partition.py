@@ -10,7 +10,7 @@ This module computes that three-way partition from a run's
 per-function accounting, and evaluates the projection: given a
 fast-path affinity gain (e.g. from the ttcp experiments), predict the
 gain of a mixed workload from its fast-path share, and compare with
-the measured gain.
+the measured gain (``examples/web_server.py`` prints both).
 """
 
 from repro.cpu.events import CYCLES
@@ -41,13 +41,6 @@ class Partition:
         self.fast_path = fast_path
         self.setup = setup
         self.application = application
-
-    def shares(self):
-        return {
-            "fast_path": self.fast_path,
-            "setup": self.setup,
-            "application": self.application,
-        }
 
     def __repr__(self):
         return (

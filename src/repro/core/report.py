@@ -200,37 +200,6 @@ def render_table5(correlations, exact=True):
     return table.render() + "\n" + footer
 
 
-def render_function_profile(result, n=20, cpu_index=None, event=None):
-    """An ``opannotate``-style per-function table for one run.
-
-    Sorted by the chosen event (cycles by default); shows each
-    function's bin, share, CPI and MPI -- the drill-down view the
-    paper's section 3 argues is *less* useful than bins, provided here
-    for exploration.
-    """
-    from repro.cpu.events import CYCLES, INSTRUCTIONS, LLC_MISSES
-
-    event = CYCLES if event is None else event
-    fns = result.function_events(cpu_index=cpu_index)
-    total = sum(vec[event] for _, vec in fns.values()) or 1
-    rows = sorted(fns.items(), key=lambda kv: -kv[1][1][event])[:n]
-    table = TextTable(
-        ["function", "bin", "%", "CPI", "MPI"],
-        title="Per-function profile%s"
-        % ("" if cpu_index is None else " (CPU%d)" % cpu_index),
-    )
-    for name, (bin, vec) in rows:
-        instr = vec[INSTRUCTIONS]
-        table.add_row(
-            name,
-            bin,
-            format_pct(vec[event] / float(total)),
-            "%.2f" % (vec[CYCLES] / instr) if instr else "-",
-            "%.4f" % (vec[LLC_MISSES] / instr) if instr else "-",
-        )
-    return table.render()
-
-
 def render_trace_crosscheck(result, label):
     """Trace-vs-``/proc`` cross-check for a traced run.
 

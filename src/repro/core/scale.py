@@ -16,7 +16,6 @@ happen at all, which is also the regime real servers run in.
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import dedupe_cells
-from repro.core.parallel import SweepRunner
 
 #: Machine sizes the study sweeps (the tentpole's n_cpus axis).
 SCALE_CPUS = (2, 4, 8, 16)
@@ -109,7 +108,11 @@ def run_scale_sweep(
         )
         for n_cpus, size, mode, n_conn in expanded
     ]
-    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
+    return dict(zip(cells, runner.run(configs)))
 
 
 def coalesce_overrides(coalesce_us, variant):
@@ -184,7 +187,11 @@ def run_coalesce_sweep(
         )
         for us, variant in cells
     ]
-    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
+    return dict(zip(cells, runner.run(configs)))
 
 
 def scaling_efficiency(sweep, sizes, cpus, mode, n_conn=None):

@@ -63,8 +63,3 @@ class BranchPredictor:
             whole = branches
         self.mispredicts += whole
         return whole
-
-    def warmth(self, fn_name):
-        """Invocations seen for ``fn_name`` on this CPU (0 if unknown)."""
-        entry = self._entries.get(fn_name)
-        return 0 if entry is None else entry[0]

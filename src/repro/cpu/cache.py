@@ -16,9 +16,9 @@ the fused-walk differential checks every level against
 
 :class:`SetAssocCache` (list sets) and :class:`TraceCache` (dict sets)
 share everything but their transition through :class:`CacheBase`,
-whose introspection reads a set only through ``in``, iteration and
-``len``.  :func:`set_mask` is the one geometry check, also used by the
-compiled engine's array layouts.
+whose ``probe`` reads a set only through ``in``.  :func:`set_mask`
+is the one geometry check, also used by the compiled engine's array
+layouts.
 """
 
 
@@ -37,7 +37,7 @@ def set_mask(geometry):
 
 
 class CacheBase:
-    """True-LRU set state and its introspection, whatever a set is.
+    """True-LRU set state and its probe, whatever a set is.
 
     A subclass names its set type in ``_new_set`` and supplies the
     transition over it.
@@ -56,19 +56,6 @@ class CacheBase:
     def probe(self, line):
         """Non-destructive lookup: ``True`` if ``line`` is resident."""
         return line in self._sets[line & self._mask]
-
-    def resident_lines(self):
-        """All resident line numbers (introspection; not a hot path)."""
-        lines = []
-        for bucket in self._sets:
-            lines.extend(bucket)
-        return lines
-
-    def occupancy(self):
-        """Fraction of capacity currently filled."""
-        filled = sum(len(bucket) for bucket in self._sets)
-        capacity = len(self._sets) * self._ways
-        return filled / float(capacity)
 
     def __repr__(self):
         return "%s(%r, hits=%d, misses=%d)" % (

@@ -28,7 +28,6 @@ final (knob x direction x mode) perturbation grid is a single batch.
 
 from repro.core.characterization import STACK_BINS, characterize
 from repro.core.experiment import ExperimentConfig
-from repro.core.parallel import SweepRunner
 from repro.diagnose.perturb import resolve_knobs
 from repro.diagnose.saturation import (
     DEFAULT_HI_MARGIN,
@@ -94,7 +93,10 @@ def run_diagnosis(
     probe schedule is a pure function of cell results, the resumed run
     re-derives the same waves and the final report is byte-identical.
     """
-    runner = runner or SweepRunner(jobs=1)
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
     journal = runner.journal
     specs = resolve_knobs(knobs)
     keys = [(d, m) for d in directions for m in modes]

@@ -21,7 +21,6 @@ searches bisect in parallel.
 """
 
 from repro.core.experiment import ExperimentConfig
-from repro.core.parallel import SweepRunner
 
 #: Bisection steps after the ceiling probe: each halves the bracket,
 #: so 6 steps place saturation within ~2% of the capacity ceiling.
@@ -173,7 +172,10 @@ def find_saturation(config, steps=DEFAULT_STEPS,
     ``SweepRunner(jobs=1)``: serial, uncached, unjournaled); a probe
     that fails despite retries observes as ``None``.
     """
-    runner = runner or SweepRunner(jobs=1)
+    if runner is None:
+        from repro.core.parallel import SweepRunner
+
+        runner = SweepRunner(jobs=1)
     search = SaturationSearch(
         config, steps=steps, sustain_frac=sustain_frac,
         hi_margin=hi_margin,

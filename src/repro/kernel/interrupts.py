@@ -69,11 +69,6 @@ class IoApic:
             cpu += 1
         return cpu
 
-    def route_all(self, cpu_index):
-        """Point every line at one CPU (used by the rotation scheme)."""
-        for line in self.lines.values():
-            line.set_affinity(1 << cpu_index)
-
     def distribute(self, vectors, n_cpus=None):
         """Spread ``vectors`` evenly across CPUs (the IRQ-affinity mode).
 
@@ -116,7 +111,6 @@ class IrqRotator:
         #: ``per_line`` rotates each line independently; the strict 2.6
         #: behaviour rotates all lines to one CPU at a time.
         self.per_line = per_line
-        self.rotations = 0
         self._rng = machine.rng.stream("irq-rotator")
         self._stopped = False
         self._pending = machine.engine.schedule_after(
@@ -127,7 +121,6 @@ class IrqRotator:
         if self._stopped:
             return
         machine = self.machine
-        self.rotations += 1
         # Draw over *physical cores*, not logical CPUs: with
         # hyperthreading, randrange(machine.n_cpus) would land half of
         # all rotations on the second sibling thread of a core, which
@@ -158,5 +151,3 @@ class IrqRotator:
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
-
-    detach = stop

@@ -209,7 +209,6 @@ class Machine:
         self.tasks = []
         self._resettables = []
         self.tick_cycles = hz // TICK_HZ
-        self.ipis_sent = 0
         #: Optional :class:`repro.trace.tracer.Tracer`.  ``None`` (the
         #: default) keeps every tracepoint site down to one attribute
         #: load and a comparison -- untraced runs are unperturbed.
@@ -274,15 +273,11 @@ class Machine:
         self._resettables.append(obj)
 
     def attach_tracer(self, tracer):
-        """Point all tracepoint sites at ``tracer`` (see repro.trace)."""
+        """Point all tracepoint sites at ``tracer`` (see repro.trace);
+        ``None`` detaches, back to the no-op fast path."""
         self.tracer = tracer
         self.scheduler.tracer = tracer
         return tracer
-
-    def detach_tracer(self):
-        """Stop tracing; sites fall back to the no-op fast path."""
-        self.tracer = None
-        self.scheduler.tracer = None
 
     def spawn(self, task, cpu_index=0):
         """Create a runnable task; it starts at the next dispatch."""
@@ -364,10 +359,8 @@ class Machine:
         self.procstat.reset()
         self.memsys.invalidations = 0
         self.memsys.c2c_transfers = 0
-        self.ipis_sent = 0
         self.scheduler.wakeups = 0
         self.scheduler.remote_wakeups = 0
-        self.scheduler.steals = 0
         for cpu in self.cpus:
             cpu.busy_cycles = 0
             for i in range(len(cpu.totals)):
@@ -376,8 +369,6 @@ class Machine:
             task.migrations = 0
         for obj in self._resettables:
             obj.reset_stats()
-        self.softirqs.raised = [0] * len(self.softirqs.raised)
-        self.softirqs.executed = [0] * len(self.softirqs.executed)
         if self.tracer is not None:
             self.tracer.clear()
         self._window_start = self.engine.now
@@ -477,7 +468,6 @@ class Machine:
 
     def raise_softirq(self, cpu_index, index):
         """Mark softirq ``index`` pending on ``cpu_index``."""
-        self.softirqs.raised[index] += 1
         if self.tracer is not None:
             self.tracer.emit("softirq_raise", cpu=cpu_index,
                              softirq=SOFTIRQ_NAMES[index])
@@ -550,7 +540,6 @@ class Machine:
                                  vector=vector)
 
     def _send_ipi(self, target_index, at):
-        self.ipis_sent += 1
         if self.tracer is not None:
             self.tracer.emit("ipi_send", cpu=target_index,
                              target=target_index)
@@ -770,7 +759,6 @@ class Machine:
             mask = state.softirq_pending
             state.softirq_pending = 0
             for index in pending_order(mask):
-                self.softirqs.executed[index] += 1
                 action = self.softirqs.action(index)
                 if self.tracer is not None:
                     self.tracer.emit("softirq_entry", cpu=ctx.cpu_index,

@@ -51,12 +51,11 @@ class SchedulerParams:
 class WakeDecision:
     """Outcome of a wakeup: where the task goes and what it disturbs."""
 
-    __slots__ = ("target_cpu", "preempt", "migrated")
+    __slots__ = ("target_cpu", "preempt")
 
-    def __init__(self, target_cpu, preempt, migrated):
+    def __init__(self, target_cpu, preempt):
         self.target_cpu = target_cpu
         self.preempt = preempt
-        self.migrated = migrated
 
 
 class Scheduler:
@@ -84,7 +83,6 @@ class Scheduler:
         # Statistics.
         self.wakeups = 0
         self.remote_wakeups = 0
-        self.steals = 0
 
     # ------------------------------------------------------------------
     # Queue primitives.
@@ -143,8 +141,7 @@ class Scheduler:
     def wake(self, task, waker_cpu, now):
         """Place a woken task; returns a :class:`WakeDecision`."""
         target = self.choose_wake_cpu(task, waker_cpu)
-        migrated = target != task.prev_cpu
-        if migrated:
+        if target != task.prev_cpu:
             task.migrations += 1
             self._trace_migrate(task, task.prev_cpu, target)
         self.enqueue(task, target)
@@ -156,7 +153,7 @@ class Scheduler:
         if running is not None:
             ran_for = now - running.last_dispatch
             preempt = ran_for > self.params.preempt_threshold_cycles
-        return WakeDecision(target, preempt, migrated)
+        return WakeDecision(target, preempt)
 
     # ------------------------------------------------------------------
     # Dispatch and balancing.
@@ -189,7 +186,6 @@ class Scheduler:
             if task.allowed_on(cpu_index):
                 del queue[i]
                 task.migrations += 1
-                self.steals += 1
                 self._trace_migrate(task, busiest, cpu_index)
                 return task
         return None

@@ -24,12 +24,10 @@ SOFTIRQ_NAMES = ("HI", "NET_TX", "NET_RX", "TIMER")
 class SoftirqTable:
     """Registered softirq actions: index -> generator factory ``f(ctx)``."""
 
-    __slots__ = ("_actions", "raised", "executed")
+    __slots__ = ("_actions",)
 
     def __init__(self):
         self._actions = [None] * N_SOFTIRQS
-        self.raised = [0] * N_SOFTIRQS
-        self.executed = [0] * N_SOFTIRQS
 
     def register(self, index, factory):
         if not 0 <= index < N_SOFTIRQS:

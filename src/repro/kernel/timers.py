@@ -27,9 +27,6 @@ class KernelTimer:
         self.expires = None
         #: CPU whose wheel holds the timer.
         self.cpu_index = None
-        self.fired = 0
-        self.armed = 0
-        self.cancelled = 0
 
     @property
     def pending(self):
@@ -55,7 +52,6 @@ class TimerWheel:
             raise RuntimeError("timer %s already pending" % timer.name)
         timer.expires = expires
         timer.cpu_index = self.cpu_index
-        timer.armed += 1
         self._timers.append(timer)
 
     def remove(self, timer):
@@ -63,7 +59,6 @@ class TimerWheel:
             self._timers.remove(timer)
             timer.expires = None
             timer.cpu_index = None
-            timer.cancelled += 1
             return True
         return False
 
@@ -78,14 +73,7 @@ class TimerWheel:
             for timer in due:
                 timer.expires = None
                 timer.cpu_index = None
-                timer.fired += 1
         return due
-
-    def next_expiry(self):
-        """Earliest pending expiry, or ``None``."""
-        if not self._timers:
-            return None
-        return min(t.expires for t in self._timers)
 
     def __len__(self):
         return len(self._timers)

@@ -261,7 +261,6 @@ class RxQueue:
             claimed = len(self.rx_pending) + len(self.tx_done)
             self._itr_ewma8 = (3 * self._itr_ewma8 + 8 * claimed) // 4
         self.irqs_fired += 1
-        nic.irqs_fired += 1
         if nic.faults is not None:
             delay = nic.faults.irq_delay_cycles(nic)
             if delay > 0:
@@ -388,10 +387,8 @@ class Nic:
         self.faults = None
 
         # Statistics.
-        self.frames_out = 0
         self.rx_drops = 0
         self.tx_drops = 0
-        self.irqs_fired = 0
         self.irqs_delayed = 0
 
     # ------------------------------------------------------------------
@@ -465,7 +462,6 @@ class Nic:
         start = max(ready, self._tx_wire_free_at, self.engine.now)
         done = start + self.params.wire_cycles(packet.wire_len)
         self._tx_wire_free_at = done
-        self.frames_out += 1
         return done
 
     def _tx_complete(self, skb, packet, completion):
@@ -610,10 +606,8 @@ class Nic:
             self.itr_holds += 1
 
     def reset_stats(self):
-        self.frames_out = 0
         self.rx_drops = 0
         self.tx_drops = 0
-        self.irqs_fired = 0
         self.irqs_delayed = 0
         self.engine_cycles = 0
         self.engine_seg_cycles = 0

@@ -86,7 +86,6 @@ class Peer:
         self.snd_nxt = 0
         self.snd_una = 0
         self.peer_rcv_window = self.adv_window
-        self.total_sent = 0
         #: Offered-load pacing (repro.diagnose saturation search):
         #: cycles per payload byte at the paced rate, or ``None`` for
         #: the default window-limited (closed-loop) firehose.
@@ -121,10 +120,6 @@ class Peer:
         self.think_cycles = think_cycles
         self.phase = "idle"
         self.requests_sent_this_conn = 0
-        self.requests_completed_total = 0
-
-        self.acks_sent = 0
-        self.segments_sent = 0
 
     # ------------------------------------------------------------------
     # Frames arriving from the SUT.
@@ -206,7 +201,6 @@ class Peer:
         if self._flush_event is not None:
             self._flush_event.cancel()
             self._flush_event = None
-        self.acks_sent += 1
         self.nic.deliver_frame(
             ack_packet(self.conn_id, self.rcv_nxt, self.adv_window)
         )
@@ -317,8 +311,6 @@ class Peer:
                 self._pace_sent += mss
             self.nic.deliver_frame(self._data_segment(self.snd_nxt, mss))
             self.snd_nxt += mss
-            self.total_sent += mss
-            self.segments_sent += 1
         if (
             self.loss_recovery
             and self._rexmit_event is None
@@ -358,7 +350,6 @@ class Peer:
         if length <= 0:
             return
         self.retransmits += 1
-        self.segments_sent += 1
         self.nic.deliver_frame(self._data_segment(self.snd_una, length))
 
     def _data_segment(self, seq, length):
@@ -395,7 +386,6 @@ class Peer:
                 data_packet(self.conn_id, self.snd_nxt, self.command_bytes)
             )
             self.snd_nxt += self.command_bytes
-            self.total_sent += self.command_bytes
             self.commands_sent += 1
 
     # ------------------------------------------------------------------
@@ -436,7 +426,6 @@ class Peer:
         # A response is complete when the byte stream reaches the next
         # response boundary.
         if self.rcv_nxt >= self.requests_sent_this_conn * self.block_bytes:
-            self.requests_completed_total += 1
             if self.requests_sent_this_conn < self.requests_per_conn:
                 self._send_request()
             else:
@@ -453,13 +442,9 @@ class Peer:
             data_packet(self.conn_id, self.snd_nxt, self.request_bytes)
         )
         self.snd_nxt += self.request_bytes
-        self.total_sent += self.request_bytes
         self.requests_sent_this_conn += 1
 
     def reset_stats(self):
-        self.acks_sent = 0
-        self.segments_sent = 0
-        self.requests_completed_total = 0
         self.dup_acks_sent = 0
         self.dup_acks_seen = 0
         self.retransmits = 0

@@ -56,23 +56,6 @@ FD_SAMPLE_RATE = 8
 FD_TABLE_CAPACITY = 8192
 
 
-def toeplitz_hash(data, key=TOEPLITZ_KEY):
-    """The Toeplitz hash over ``data`` (bytes), per the RSS contract.
-
-    For every set bit of the input (MSB first) the hash XORs in the
-    32-bit window of the key starting at that bit position.
-    """
-    key_int = int.from_bytes(key, "big")
-    key_bits = len(key) * 8
-    if len(data) * 8 > key_bits - 32:
-        raise ValueError("input too long for a %d-bit key" % key_bits)
-    result = 0
-    for i in range(len(data) * 8):
-        if data[i // 8] & (0x80 >> (i % 8)):
-            result ^= (key_int >> (key_bits - 32 - i)) & 0xFFFFFFFF
-    return result
-
-
 def _toeplitz_tables(key, n_bytes):
     """Per-byte-position XOR tables of the Toeplitz hash.
 
@@ -163,15 +146,15 @@ def _flow_hash_tables():
 
 
 def flow_hash(conn_id):
-    """``toeplitz_hash(flow_tuple_bytes(conn_id))`` in closed form.
+    """The Toeplitz hash of ``flow_tuple_bytes(conn_id)``, in closed form.
 
     Toeplitz is linear over GF(2), and the flow tuple varies in only
     three fields: the client subnet byte, the client host byte and the
     source port.  The hash is therefore a constant XOR one lookup per
     field, in tables over each field's values (250, 250 and 28,233
     entries; the constant is folded into the host table).  Equality
-    with the bit-serial reference is pinned by test on both sides of
-    every period boundary.
+    with the bit-serial definition (the tests' oracle) is pinned on
+    both sides of every period boundary.
     """
     subnet, host, port = _FLOW_TABLES or _flow_hash_tables()
     return (subnet[(conn_id // _HOSTS) % _HOSTS]
@@ -307,8 +290,6 @@ class RssSteering:
         self.stack = stack
         self.tasks = list(tasks)
         self.interval_cycles = interval_cycles
-        self.updates = 0
-        self.retargets = 0
         self._stopped = False
         self._pending = machine.engine.schedule_after(
             interval_cycles, self._steer, label="rss steer"
@@ -332,13 +313,11 @@ class RssSteering:
         if self._stopped:
             return
         machine = self.machine
-        self.updates += 1
         for conn, task in zip(self.stack.connections, self.tasks):
             line = machine.ioapic.get(conn.nic.vector)
             target_mask = 1 << self._target_cpu(task)
             if line.smp_affinity != target_mask:
                 line.set_affinity(target_mask)
-                self.retargets += 1
         self._pending = machine.engine.schedule_after(
             self.interval_cycles, self._steer, label="rss steer"
         )
@@ -356,16 +335,3 @@ class RssSteering:
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
-
-    #: Alias; reads better when the caller thinks of the controller as
-    #: attached to the stack.
-    detach = stop
-
-    def alignment(self):
-        """Fraction of flows whose IRQ currently matches its process."""
-        aligned = 0
-        for conn, task in zip(self.stack.connections, self.tasks):
-            line = self.machine.ioapic.get(conn.nic.vector)
-            if line.smp_affinity == 1 << self._target_cpu(task):
-                aligned += 1
-        return aligned / float(len(self.tasks))

@@ -46,8 +46,6 @@ class SlabCache:
         self._per_cpu = [[] for _ in range(n_cpus)]
         self._global = []
         self.created = 0
-        self.allocs = 0
-        self.frees = 0
         self.cross_cpu_refills = 0
         #: Absolute live-object count and double-free detection: these
         #: survive measurement resets because the conservation law they
@@ -59,7 +57,6 @@ class SlabCache:
 
     def alloc(self, cpu_index):
         """Return a :class:`~repro.mem.layout.MemoryObject` to use."""
-        self.allocs += 1
         self.live += 1
         local = self._per_cpu[cpu_index]
         if local:
@@ -77,7 +74,7 @@ class SlabCache:
 
     def reserve(self, n):
         """``(name, size)`` of the next ``n`` objects this cache
-        creates, counted as created, allocated and live -- what ``n``
+        creates, counted as created and live -- what ``n``
         :meth:`alloc` calls on empty freelists would create.  The
         caller allocates them (:meth:`SkbPools.alloc_ring`)."""
         if self._global or any(self._per_cpu):
@@ -85,7 +82,6 @@ class SlabCache:
                 "%s: reserve needs empty freelists" % self.name)
         first = self.created + 1
         self.created += n
-        self.allocs += n
         self.live += n
         return [("%s#%d" % (self.name, k), self.obj_size)
                 for k in range(first, first + n)]
@@ -96,7 +92,6 @@ class SlabCache:
             self.double_frees += 1
             return
         self._free_ids.add(id(obj))
-        self.frees += 1
         self.live -= 1
         local = self._per_cpu[cpu_index]
         if len(local) < PER_CPU_FREELIST_MAX:
@@ -104,13 +99,7 @@ class SlabCache:
         else:
             self._global.append(obj)
 
-    def outstanding(self):
-        """Objects currently live (allocated and not freed)."""
-        return self.allocs - self.frees
-
     def reset_stats(self):
-        self.allocs = 0
-        self.frees = 0
         self.cross_cpu_refills = 0
 
 

@@ -79,13 +79,11 @@ class Sock:
         #: ``tcp_rcv_established`` running on the process CPU.)
         self.owned = False
         self.backlog = []
-        self.backlogged_total = 0
         #: Connection life cycle.  Bulk-workload sockets are born
         #: established (the paper sets its connections up once); the
         #: web-style workloads churn through setup and teardown.
         self.established = True
         self.fin_received = False
-        self.episodes = 0
 
         # ----- transmit state -----
         self.snd_una = 0          # oldest unacknowledged sequence
@@ -132,8 +130,6 @@ class Sock:
         self.rexmit_timer = None
 
         # Statistics.
-        self.segs_out = 0
-        self.acks_out = 0
         self.bytes_queued_total = 0
 
     def scale_buffers(self, weight):
@@ -287,7 +283,6 @@ class Sock:
         self.last_window_advertised = self.max_window
         self.established = False
         self.fin_received = False
-        self.episodes += 1
 
     def window_update_due(self):
         """Should a window-update ACK be sent after the reader drained?"""

@@ -80,7 +80,6 @@ def net_rx_action(ctx, stack):
                 writes=[sock.buf[128], (skb.head.addr, 128)],
             )
             sock.backlog.append(skb)
-            sock.backlogged_total += 1
             ctx.unlock(sock.lock)
         else:
             for op in process_segment(ctx, stack, conn, skb):

@@ -162,7 +162,6 @@ def tcp_write_xmit(ctx, stack, conn):
         sock.send_head += 1
         was_empty_pipe = sock.in_flight == 0
         sock.snd_nxt = skb.end_seq
-        sock.segs_out += 1
         if was_empty_pipe:
             stack.arm_rexmit_timer(ctx, conn)
     if burst:
@@ -304,7 +303,6 @@ def tcp_send_ack(ctx, stack, conn):
     packet = ack_packet(conn.conn_id, sock.rcv_nxt, window)
     sock.last_window_advertised = window
     sock.segs_since_ack = 0
-    sock.acks_out += 1
     if sock.delack_pending:
         ctx.charge(specs["del_timer"], instr["del_timer"],
                    writes=[sock.buf[32]])

@@ -33,10 +33,6 @@ class ProcInterrupts:
         """Record one inter-processor interrupt received by ``cpu_index``."""
         self.ipi_counts[cpu_index] += 1
 
-    def deliveries(self, irq):
-        """Per-CPU delivery counts for one line."""
-        return list(self._counts.get(irq, [0] * self.n_cpus))
-
     def total_device_interrupts(self, cpu_index=None):
         """Device interrupts delivered, optionally for one CPU."""
         if cpu_index is None:

@@ -15,8 +15,7 @@ observed in a causally consistent order.
 :mod:`.events`        ``Event``, ``EventQueue``, ``SimulationEngine``
 :mod:`.rng`           ``RngStreams``
 :mod:`.units`         ``CYCLES_PER_SECOND_2GHZ``, ``gbps``, ``mbps``,
-                      ``cycles_to_seconds``, ``seconds_to_cycles``,
-                      ``bytes_to_bits``, ``bits_to_bytes``
+                      ``cycles_to_seconds``, ``bytes_to_bits``
 ====================  ==============================================
 
 Import names from their defining module; the package re-exports

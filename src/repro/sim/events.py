@@ -79,14 +79,6 @@ class EventQueue:
     def __len__(self):
         return self._live
 
-    def physical_size(self):
-        """Events physically stored, live plus cancelled debris.
-
-        Exposed for the compaction tests: the invariant is that debris
-        never grows past the live population (beyond ``COMPACT_MIN``).
-        """
-        return self._live + self._debris
-
     def schedule(self, time, callback, label=""):
         """Schedule ``callback`` to run at simulated cycle ``time``."""
         if time < 0:

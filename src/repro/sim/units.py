@@ -17,24 +17,9 @@ def bytes_to_bits(n_bytes):
     return n_bytes * BITS_PER_BYTE
 
 
-def bits_to_bytes(n_bits):
-    """Return the number of whole bytes spanned by ``n_bits`` bits."""
-    return n_bits // BITS_PER_BYTE
-
-
 def cycles_to_seconds(cycles, hz=CYCLES_PER_SECOND_2GHZ):
     """Convert a cycle count to seconds at clock ``hz``."""
     return cycles / float(hz)
-
-
-def seconds_to_cycles(seconds, hz=CYCLES_PER_SECOND_2GHZ):
-    """Convert ``seconds`` to an integer cycle count at clock ``hz``."""
-    return int(round(seconds * hz))
-
-
-def microseconds_to_cycles(us, hz=CYCLES_PER_SECOND_2GHZ):
-    """Convert microseconds to an integer cycle count at clock ``hz``."""
-    return int(round(us * hz / 1_000_000.0))
 
 
 def gbps(bytes_transferred, cycles, hz=CYCLES_PER_SECOND_2GHZ):
@@ -52,18 +37,3 @@ def gbps(bytes_transferred, cycles, hz=CYCLES_PER_SECOND_2GHZ):
 def mbps(bytes_transferred, cycles, hz=CYCLES_PER_SECOND_2GHZ):
     """Throughput in megabits/second (see :func:`gbps`)."""
     return gbps(bytes_transferred, cycles, hz) * 1000.0
-
-
-def ghz_per_gbps(busy_cycles, bytes_transferred, hz=CYCLES_PER_SECOND_2GHZ):
-    """The paper's normalized cost metric: processor GHz per Gbps moved.
-
-    Figure 4 of the paper plots ``GHz/Gbps`` -- total processor cycles
-    spent (expressed as GHz, i.e. cycles / 1e9 per second of run) per
-    gigabit/second of goodput.  Algebraically this reduces to
-    ``busy_cycles / bits_transferred`` (cycles per bit), which is how we
-    compute it so the run length cancels out.
-    """
-    bits = bytes_to_bits(bytes_transferred)
-    if bits <= 0:
-        return float("inf")
-    return busy_cycles / float(bits)

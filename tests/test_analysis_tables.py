@@ -36,14 +36,6 @@ class TestTextTable:
         with pytest.raises(ValueError):
             t.add_row("only-one")
 
-    def test_separator(self):
-        t = TextTable(["a"])
-        t.add_row("1")
-        t.add_separator()
-        t.add_row("2")
-        lines = t.render().splitlines()
-        assert lines[3] == lines[1]  # same dashes as the header rule
-
     def test_str(self):
         t = TextTable(["a"])
         t.add_row("1")

@@ -216,13 +216,3 @@ class TestRenderers:
             [("no aff", none), ("full aff", full)], CostModel()
         )
         assert "Machine clear" in out and "Instr" in out
-
-    def test_function_profile(self, tx_pair):
-        from repro.core.report import render_function_profile
-
-        none, _ = tx_pair
-        out = render_function_profile(none, n=10)
-        assert "tcp_sendmsg" in out or "csum_and_copy_from_user" in out
-        assert "CPI" in out
-        per_cpu = render_function_profile(none, n=5, cpu_index=0)
-        assert "CPU0" in per_cpu

@@ -4,13 +4,10 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig, ResultCache, run_experiment
 from repro.core.metrics import (
-    bandwidth_series,
     best_gain,
     cost_reduction,
-    cost_series,
     run_size_sweep,
     throughput_gain,
-    utilization_series,
 )
 from repro.core.parallel import SweepRunner
 from repro.core.report import render_figure3, render_figure4
@@ -40,21 +37,17 @@ class TestSweep:
         }
 
     def test_bandwidth_series_shape(self, mini_sweep):
-        series = bandwidth_series(mini_sweep, (1024, 32768),
-                                  modes=("none", "full"))
-        assert len(series["none"]) == 2
-        assert all(v > 0 for v in series["full"])
+        assert all(mini_sweep[(size, "full")].throughput_mbps > 0
+                   for size in (1024, 32768))
 
     def test_utilization_series(self, mini_sweep):
-        series = utilization_series(mini_sweep, (1024, 32768),
-                                    modes=("none", "full"))
-        assert all(0.0 < u <= 1.0 for u in series["none"])
+        assert all(0.0 < mini_sweep[(size, "none")].utilization <= 1.0
+                   for size in (1024, 32768))
 
     def test_cost_series_decreases_with_size(self, mini_sweep):
-        series = cost_series(mini_sweep, (1024, 32768),
-                             modes=("none", "full"))
         for mode in ("none", "full"):
-            assert series[mode][0] > series[mode][1]
+            assert (mini_sweep[(1024, mode)].cost_ghz_per_gbps
+                    > mini_sweep[(32768, mode)].cost_ghz_per_gbps)
 
     def test_gain_and_reduction_consistency(self, mini_sweep):
         gain = throughput_gain(mini_sweep, 32768, "full")
@@ -77,7 +70,7 @@ class TestSweep:
 
 class TestNoneCells:
     """Failed sweep cells (``None`` from a fault-tolerant runner) must
-    propagate as holes, not crash the series/gain helpers."""
+    propagate as holes, not crash the gain helpers or renderers."""
 
     @pytest.fixture()
     def holey_sweep(self, mini_sweep):
@@ -86,12 +79,18 @@ class TestNoneCells:
         return sweep
 
     def test_series_propagate_none(self, holey_sweep):
-        for helper in (bandwidth_series, utilization_series, cost_series):
-            series = helper(holey_sweep, (1024, 32768),
-                            modes=("none", "full"))
-            assert series["full"][1] is None
-            assert series["full"][0] is not None
-            assert all(v is not None for v in series["none"])
+        # Only the failed cell's entries become holes in the figures.
+        for render in (render_figure3, render_figure4):
+            text = render(holey_sweep, (1024, 32768), ("none", "full"),
+                          "tx")
+            rows = {
+                line.split("|")[0].strip():
+                    [cell.strip() for cell in line.split("|")[1:]]
+                for line in text.splitlines() if "|" in line
+            }
+            assert rows["32768"][1] == "FAIL"
+            assert rows["32768"][0] not in ("FAIL", "--")
+            assert not {"FAIL", "--"} & set(rows["1024"])
 
     def test_gain_none_when_cell_failed(self, holey_sweep):
         assert throughput_gain(holey_sweep, 32768, "full") is None
@@ -115,9 +114,8 @@ class TestNoneCells:
     def test_missing_cell_treated_like_none(self, mini_sweep):
         sweep = dict(mini_sweep)
         del sweep[(32768, "full")]
-        series = bandwidth_series(sweep, (1024, 32768),
-                                  modes=("none", "full"))
-        assert series["full"][1] is None
+        assert throughput_gain(sweep, 32768, "full") is None
+        assert cost_reduction(sweep, 32768, "full") is None
 
     def test_renderers_survive_holes(self, holey_sweep):
         fig3 = render_figure3(holey_sweep, (1024, 32768),

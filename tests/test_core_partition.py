@@ -69,5 +69,5 @@ class TestWebPartition:
         assert partition.fast_path > 0.5
         assert partition.setup > 0.0
         assert partition.application > 0.0
-        total = sum(partition.shares().values())
+        total = partition.fast_path + partition.setup + partition.application
         assert total == pytest.approx(1.0)

@@ -80,8 +80,9 @@ class TestBranchPredictor:
         bp.predict("a", 10, 0.0)
         bp.predict("b", 10, 0.0)
         bp.predict("c", 10, 0.0)  # evicts a
-        assert bp.warmth("a") == 0
-        assert bp.warmth("c") == 1
+        cold = BranchPredictor().predict("x", 1000, 0.0)
+        assert bp.predict("c", 1000, 0.0) < cold  # seen once: warmer
+        assert bp.predict("a", 1000, 0.0) == cold  # forgotten: cold again
 
     def test_rate_clamped_to_branch_count(self):
         bp = BranchPredictor()

@@ -26,10 +26,10 @@ from repro.net.rss import (
     _toeplitz_tables,
     flow_hash,
     flow_tuple_bytes,
-    toeplitz_hash,
 )
 from repro.net.sock import BUFFER_SCALE_CAP, Sock
 from repro.prof.slotaccounting import ClassColumns
+from tests.toeplitz import toeplitz_hash
 
 
 def _config(**overrides):

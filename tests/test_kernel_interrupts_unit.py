@@ -49,7 +49,8 @@ class TestIoApicRouting:
         apic = IoApic(2)
         for v in (0x19, 0x1A):
             apic.register(line(v))
-        apic.route_all(1)
+        for v in (0x19, 0x1A):
+            apic.get(v).set_affinity(0b10)
         assert apic.route(0x19) == 1
         assert apic.route(0x1A) == 1
 

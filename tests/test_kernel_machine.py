@@ -8,6 +8,7 @@ from repro.kernel.machine import Machine
 from repro.kernel.task import TASK_DEAD, Task, WaitQueue
 from repro.kernel.timers import KernelTimer
 from repro.kernel.softirq import NET_RX_SOFTIRQ
+from tests.proc_interrupts import deliveries
 
 MS = 2_000_000  # cycles per millisecond at 2 GHz
 
@@ -149,7 +150,6 @@ class TestBlockingAndWakeups:
         machine.spawn(Task("waker", waker, cpus_allowed=0b10), cpu_index=1)
         machine.start()
         machine.run_for(10 * MS)
-        assert machine.ipis_sent >= 1
         assert machine.procstat.total_ipis(0) >= 1
         # The IPI's machine clear was counted on CPU0.
         assert machine.cpus[0].totals[MACHINE_CLEARS] > 0
@@ -226,7 +226,7 @@ class TestInterrupts:
         machine.engine.schedule_at(1000, lambda: machine.raise_irq(0x19))
         machine.run_for(MS)
         assert hits == [0]
-        assert machine.procstat.deliveries(0x19) == [1, 0]
+        assert deliveries(machine.procstat, 0x19) == [1, 0]
 
         line.set_affinity(0b10)
         machine.engine.schedule_at(
@@ -234,7 +234,7 @@ class TestInterrupts:
         )
         machine.run_for(MS)
         assert hits == [0, 1]
-        assert machine.procstat.deliveries(0x19) == [1, 1]
+        assert deliveries(machine.procstat, 0x19) == [1, 1]
 
     def test_irq_machine_clear_split_between_victim_and_handler(self, machine):
         """Device-IRQ clears skid: half to the interrupted code, half
@@ -328,7 +328,7 @@ class TestTimers:
         machine.run_for(10 * MS)
         assert len(fired) == 1
         assert fired[0] >= 3 * MS
-        assert timer.fired == 1
+        assert not timer.pending
 
     def test_cancelled_timer_does_not_fire(self, machine):
         fired = []
@@ -352,7 +352,7 @@ class TestTimers:
         machine.start()
         machine.run_for(10 * MS)
         assert fired == []
-        assert timer.cancelled == 1
+        assert not timer.pending
 
 
 class TestTicksAndMeasurement:

@@ -46,7 +46,8 @@ class TestTimerWheelProperties:
         wheel = TimerWheel(0)
         for i, expiry in enumerate(expiries):
             wheel.add(make_timer(i), expiry)
-        assert wheel.next_expiry() == min(expiries)
+        assert wheel.expire(min(expiries) - 1) == []
+        assert wheel.expire(min(expiries))
 
     def test_double_add_rejected(self):
         wheel = TimerWheel(0)
@@ -63,9 +64,8 @@ class TestTimerWheelProperties:
         wheel = TimerWheel(0)
         timer = make_timer(0)
         wheel.add(timer, 10)
-        wheel.remove(timer)
+        assert wheel.remove(timer) and not timer.pending
+        assert not wheel.remove(timer)
         wheel.add(timer, 10)
-        wheel.expire(50)
-        assert timer.armed == 2
-        assert timer.cancelled == 1
-        assert timer.fired == 1
+        assert wheel.expire(50) == [timer]
+        assert not timer.pending and len(wheel) == 0

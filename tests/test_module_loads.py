@@ -2,9 +2,10 @@
 
 Every check starts a fresh interpreter, runs one import, and reads
 ``sys.modules``: the CLI module alone loads nothing of the package,
-building its parser loads no simulator module, and configs, results
-and the result cache (:mod:`repro.core.experiment`) load without the
-simulator, the sweep pool or the run store's database.
+building its parser loads no simulator module and no sweep pool, and
+configs, results and the result cache (:mod:`repro.core.experiment`)
+load without the simulator, the sweep pool or the run store's
+database.
 """
 
 import json
@@ -53,6 +54,11 @@ def test_cli_module_loads_nothing_of_the_package():
 def test_cli_parser_loads_no_simulator():
     modules = loaded_after("import repro.cli\nrepro.cli.build_parser()")
     assert simulator_modules(modules) == []
+
+
+def test_cli_parser_loads_no_sweep_pool():
+    modules = loaded_after("import repro.cli\nrepro.cli.build_parser()")
+    assert sorted(modules & {"repro.core.parallel", "multiprocessing"}) == []
 
 
 def test_experiment_loads_no_simulator_pool_or_database():

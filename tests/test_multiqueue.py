@@ -23,9 +23,9 @@ from repro.net.rss import (
     NicSteering,
     RssIndirection,
     flow_tuple_bytes,
-    toeplitz_hash,
 )
 from repro.net.stack import QUEUE_VECTOR_BASE, NetworkStack
+from tests.toeplitz import toeplitz_hash
 
 
 def _fast_config(mode, **overrides):

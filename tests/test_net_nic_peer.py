@@ -84,7 +84,8 @@ class TestSingleQueueDevice:
             + rig.params.coalesce_cycles + 100
         )
         assert rig.rxq.frames_steered == 1
-        assert rig.rxq.irqs_fired == rig.nic.irqs_fired == 1
+        assert rig.rxq.irqs_fired == 1
+        assert sum(q.irqs_fired for q in rig.nic.rxqs) == 1
 
 
 class TestNicReceive:
@@ -145,7 +146,7 @@ class TestCoalescing:
         rig.machine.engine.run(
             until=rig.params.wire_cycles(1514) * 10
         )
-        assert rig.nic.irqs_fired == 1
+        assert rig.rxq.irqs_fired == 1
 
     def test_interrupt_after_timeout_for_single_frame(self, rig):
         rig.nic.deliver_frame(data_packet(0, 0, 1460))
@@ -153,27 +154,43 @@ class TestCoalescing:
             until=rig.params.wire_cycles(1514)
             + rig.params.coalesce_cycles + 100
         )
-        assert rig.nic.irqs_fired == 1
+        assert rig.rxq.irqs_fired == 1
 
     def test_no_rearm_until_claimed(self, rig):
         for i in range(rig.params.coalesce_frames * 2):
             rig.nic.deliver_frame(data_packet(0, i * 1460, 1460))
         rig.machine.engine.run(until=rig.params.wire_cycles(1514) * 40)
-        assert rig.nic.irqs_fired == 1  # latched until the ISR claims
+        assert rig.rxq.irqs_fired == 1  # latched until the ISR claims
         rig.rxq.claim()
         assert rig.rxq.rx_pending == []
 
 
+def wire_acks(nic, monkeypatch):
+    """The ACK sequence numbers a peer puts on ``nic``'s wire."""
+    acks = []
+    deliver = nic.deliver_frame
+
+    def recording_deliver(packet):
+        if packet.is_ack:
+            acks.append(packet.ack_seq)
+        deliver(packet)
+
+    monkeypatch.setattr(nic, "deliver_frame", recording_deliver)
+    return acks
+
+
 class TestSinkPeer:
-    def test_acks_every_other_segment(self, rig):
+    def test_acks_every_other_segment(self, rig, monkeypatch):
+        acks = wire_acks(rig.nic, monkeypatch)
         peer = Peer(rig.machine, rig.nic, 0, rig.params, "sink")
         peer.on_frame(data_packet(0, 0, 1460))
-        assert peer.acks_sent == 0
+        assert acks == []
         peer.on_frame(data_packet(0, 1460, 1460))
-        assert peer.acks_sent == 1
+        assert acks == [2920]
         assert peer.rcv_nxt == 2920
 
-    def test_flush_timer_acks_stragglers(self, rig):
+    def test_flush_timer_acks_stragglers(self, rig, monkeypatch):
+        acks = wire_acks(rig.nic, monkeypatch)
         peer = Peer(rig.machine, rig.nic, 0, rig.params, "sink")
         peer.on_frame(data_packet(0, 0, 1460))
         from repro.net.peer import SINK_FLUSH_CYCLES
@@ -181,7 +198,7 @@ class TestSinkPeer:
         rig.machine.engine.run(
             until=rig.machine.engine.now + SINK_FLUSH_CYCLES + 10
         )
-        assert peer.acks_sent == 1
+        assert acks == [1460]
 
 
 class TestSourcePeer:
@@ -189,23 +206,23 @@ class TestSourcePeer:
         peer = Peer(rig.machine, rig.nic, 0, rig.params, "source")
         peer.peer_rcv_window = 4 * rig.params.mss
         peer.start_stream()
-        assert peer.segments_sent == 4
+        assert peer.snd_nxt == 4 * rig.params.mss
 
     def test_ack_advances_stream(self, rig):
         peer = Peer(rig.machine, rig.nic, 0, rig.params, "source")
         peer.peer_rcv_window = 2 * rig.params.mss
         peer.start_stream()
-        sent = peer.segments_sent
+        sent = peer.snd_nxt
         peer.on_frame(ack_packet(0, rig.params.mss, 2 * rig.params.mss))
-        assert peer.segments_sent == sent + 1
+        assert peer.snd_nxt == sent + rig.params.mss
 
     def test_zero_window_stalls(self, rig):
         peer = Peer(rig.machine, rig.nic, 0, rig.params, "source")
         peer.peer_rcv_window = 2 * rig.params.mss
         peer.start_stream()
-        sent = peer.segments_sent
+        sent = peer.snd_nxt
         peer.on_frame(ack_packet(0, 0, 0))
-        assert peer.segments_sent == sent
+        assert peer.snd_nxt == sent
 
     def test_mode_validation(self, rig):
         with pytest.raises(ValueError):

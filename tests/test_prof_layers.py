@@ -8,6 +8,7 @@ from repro.cpu.events import CYCLES, INSTRUCTIONS
 from repro.prof.accounting import ExactAccounting
 from repro.prof.oprofile import OprofileView
 from repro.prof.procstat import ProcInterrupts
+from tests.proc_interrupts import deliveries
 
 
 class FakeSpec:
@@ -134,7 +135,7 @@ class TestProcInterrupts:
         stat.count(0x19, 0)
         stat.count(0x19, 0)
         stat.count_ipi(1)
-        assert stat.deliveries(0x19) == [2, 0]
+        assert deliveries(stat, 0x19) == [2, 0]
         assert stat.total_device_interrupts() == 2
         assert stat.total_ipis() == 1
         out = stat.render()
@@ -152,7 +153,7 @@ class TestProcInterrupts:
     def test_unregistered_vector_counts(self):
         stat = ProcInterrupts(2)
         stat.count(0x42, 1)
-        assert stat.deliveries(0x42) == [0, 1]
+        assert deliveries(stat, 0x42) == [0, 1]
 
     def test_reset_keeps_handed_out_ipi_row_alive(self):
         """reset must zero ``ipi_counts`` in place: a reference handed

@@ -246,7 +246,7 @@ class TestMachineIntegration:
         tracer = machine.attach_tracer(Tracer(machine.engine))
         assert machine.tracer is tracer
         assert machine.scheduler.tracer is tracer
-        machine.detach_tracer()
+        assert machine.attach_tracer(None) is None
         assert machine.tracer is None
         assert machine.scheduler.tracer is None
 
