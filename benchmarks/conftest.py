@@ -4,19 +4,19 @@ Experiments are expensive (each is a cycle-level simulation of tens of
 milliseconds of a 2P server); they run once in session-scoped fixtures
 and are disk-cached under ``.repro-results/`` so re-running the bench
 suite is fast.  The ``benchmark`` fixture then times the (cheap)
-analysis/rendering step, and every bench writes its rendered artefact
-to ``results/``.
+analysis/rendering step, and every bench writes its rendered artefact,
+with a claims table of the values it asserts on, to ``results/``.
 """
 
 import os
 
 import pytest
 
+from repro.analysis.tables import TextTable
 from repro.core.experiment import (
     PAPER_SIZES,
     ExperimentConfig,
     ResultCache,
-    run_experiment,
 )
 from repro.core.metrics import run_size_sweep
 from repro.core.modes import AFFINITY_MODES
@@ -54,19 +54,21 @@ def artifacts_dir():
     return path
 
 
-def write_artifact(artifacts_dir, name, text):
-    path = os.path.join(artifacts_dir, name)
-    with open(path, "w") as fh:
+def write_artifact(artifacts_dir, name, text, claims=()):
+    """Write ``text`` and a table of ``claims`` to ``artifacts_dir/name``.
+
+    ``claims`` holds ``(claim, paper, measured)`` rows.  A test builds
+    them from the values it asserts on and writes them before it
+    asserts, so a failing claim still shows its measured value.
+    """
+    if claims:
+        table = TextTable(["claim", "paper", "measured"],
+                          title="Claims: paper vs measured")
+        for row in claims:
+            table.add_row(*row)
+        text += "\n\n" + table.render()
+    with open(os.path.join(artifacts_dir, name), "w") as fh:
         fh.write(text + "\n")
-    return path
-
-
-def corner(direction, size, affinity):
-    """One full-length characterization run (cached)."""
-    config = ExperimentConfig(
-        direction=direction, message_size=size, affinity=affinity
-    )
-    return run_experiment(config, cache=_CACHE, progress=_progress)
 
 
 def _pair(direction, size):

@@ -14,8 +14,7 @@ contribution to the affinity story:
   more machine clears per byte.
 """
 
-import pytest
-
+from repro.analysis.tables import format_pct as pct
 from repro.apps.ttcp import TtcpWorkload
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.modes import apply_affinity
@@ -65,7 +64,10 @@ def test_wake_steering_drives_irq_affinity_gain(benchmark, artifacts_dir):
         "wake_steering=%-5s irq-affinity gain %+.1f%%" % (k, v * 100)
         for k, v in rows.items()
     )
-    write_artifact(artifacts_dir, "ablation_wake_steering.txt", text)
+    write_artifact(artifacts_dir, "ablation_wake_steering.txt", text, [
+        ("IRQ-affinity gain, steering on vs off", "on > off (sec. 5)",
+         "%s vs %s" % (pct(rows[True]), pct(rows[False]))),
+    ])
     # Steering should account for a meaningful part of the IRQ gain.
     assert rows[True] > rows[False]
 
@@ -91,7 +93,12 @@ def test_four_processor_bottleneck(benchmark, artifacts_dir):
         gains[2] * 100, gains[4] * 100,
         " ".join("%.0f%%" % (u * 100) for u in utils[4]),
     )
-    write_artifact(artifacts_dir, "ablation_4p.txt", text)
+    write_artifact(artifacts_dir, "ablation_4p.txt", text, [
+        ("affinity gain, 2P vs 4P", "grows on 4P (sec. 5)",
+         "%s vs %s" % (pct(gains[2]), pct(gains[4]))),
+        ("4P no-aff utilization, CPU0 / lowest", "CPU0 saturated",
+         "%s / %s" % (pct(utils[4][0]), pct(min(utils[4])))),
+    ])
     assert gains[4] > gains[2]
     # Without affinity the extra processors cannot be fully fed while
     # CPU0 is saturated with interrupt work.
@@ -103,8 +110,6 @@ def test_dynamic_placement_progression(benchmark, artifacts_dir, cache):
     """Extension: none < rotate < irq ~ rss (the 2.6 rotation scheme
     from the paper's related work, and the RSS steering its conclusion
     anticipates)."""
-    from repro.core.experiment import ExperimentConfig, run_experiment
-
     def sweep():
         out = {}
         for mode in ("none", "rotate", "irq", "rss"):
@@ -118,29 +123,36 @@ def test_dynamic_placement_progression(benchmark, artifacts_dir, cache):
 
     tput = benchmark.pedantic(sweep, rounds=1, iterations=1)
     text = "\n".join("%-7s %.2f Gb/s" % (m, v) for m, v in tput.items())
-    write_artifact(artifacts_dir, "ablation_dynamic_placement.txt", text)
+    write_artifact(artifacts_dir, "ablation_dynamic_placement.txt", text, [
+        ("Gb/s none < rotate < irq", "rotate between (sec. 7)",
+         "%.2f < %.2f < %.2f" % (tput["none"], tput["rotate"], tput["irq"])),
+        ("rss / irq throughput", "~1 (sec. 8)",
+         pct(tput["rss"] / tput["irq"])),
+    ])
     assert tput["none"] < tput["rotate"] < tput["irq"] * 1.02
     # RSS reaches (approximately) static-alignment throughput.
     assert tput["rss"] > 0.95 * tput["irq"]
 
 
-@pytest.mark.parametrize("frames", [2, 8, 32])
-def test_coalescing_controls_interrupt_rate(benchmark, frames,
-                                            artifacts_dir):
-    def check():
-        params = NetParams(coalesce_frames=frames)
-        machine, gbps = run_custom("full", net_params=params)
-        irqs = machine.procstat.total_device_interrupts()
-        with open("%s/ablation_coalescing.txt" % artifacts_dir, "a") as fh:
-            fh.write("coalesce_frames=%-3d irqs=%-6d gbps=%.2f\n"
-                     % (frames, irqs, gbps))
-        assert gbps > 1.0
-        # More coalescing, fewer interrupts for comparable work.
-        machine2, gbps2 = run_custom(
-            "full", net_params=NetParams(coalesce_frames=frames * 2)
-        )
-        irq_rate = irqs / gbps
-        irq_rate2 = machine2.procstat.total_device_interrupts() / gbps2
-        assert irq_rate2 < irq_rate * 1.05
+def test_coalescing_controls_interrupt_rate(benchmark, artifacts_dir):
+    def ablate():
+        rows = {}
+        for frames in (2, 4, 8, 16, 32, 64):
+            machine, gbps = run_custom(
+                "full", net_params=NetParams(coalesce_frames=frames))
+            rows[frames] = (machine.procstat.total_device_interrupts(), gbps)
+        return rows
 
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    rows = benchmark.pedantic(ablate, rounds=1, iterations=1)
+    text = "\n".join("coalesce_frames=%-3d irqs=%-6d gbps=%.2f"
+                     % (frames, irqs, gbps)
+                     for frames, (irqs, gbps) in rows.items())
+    # More coalescing, fewer interrupts for comparable work.
+    rates = {frames: irqs / gbps for frames, (irqs, gbps) in rows.items()}
+    write_artifact(artifacts_dir, "ablation_coalescing.txt", text, [
+        ("IRQs per Gb/s, %d vs %d frames" % (f, 2 * f), "fewer",
+         "%.0f vs %.0f" % (rates[f], rates[2 * f])) for f in (2, 8, 32)
+    ])
+    for frames in (2, 8, 32):
+        assert rows[frames][1] > 1.0
+        assert rates[2 * frames] < rates[frames] * 1.05

@@ -3,9 +3,10 @@
 Paper's shapes: cost falls with transaction size (small transactions
 pay per-call overheads per few bits); full affinity reduces the 64KB
 transmit cost by ~25% (1.9 -> 1.4); the no/proc pair and the irq/full
-pair track each other.
+pair track each other; receive costs more per bit than transmit.
 """
 
+from repro.analysis.tables import format_pct as pct
 from repro.core.experiment import PAPER_SIZES
 from repro.core.metrics import cost_reduction
 from repro.core.modes import AFFINITY_MODES
@@ -18,52 +19,69 @@ def _render(sweep, direction):
     return render_figure4(sweep, PAPER_SIZES, AFFINITY_MODES, direction)
 
 
+def _fall(sweep):
+    """The smallest 128B / 64KB cost ratio over the modes."""
+    return min(
+        sweep[(PAPER_SIZES[0], mode)].cost_ghz_per_gbps
+        / sweep[(PAPER_SIZES[-1], mode)].cost_ghz_per_gbps
+        for mode in AFFINITY_MODES
+    )
+
+
 def test_figure4_tx(benchmark, tx_sweep, artifacts_dir):
     text = benchmark.pedantic(
         _render, args=(tx_sweep, "tx"), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "figure4_tx.txt", text)
+    fall = _fall(tx_sweep)
+    reduction = cost_reduction(tx_sweep, 65536, "full")
+    none_cost = tx_sweep[(65536, "none")].cost_ghz_per_gbps
+    proc = cost_reduction(tx_sweep, 65536, "proc")
+    write_artifact(artifacts_dir, "figure4_tx.txt", text, [
+        ("128B / 64KB cost, lowest mode", "falls with size", "%.2fx" % fall),
+        ("64KB cost reduction, full affinity", "~25% (1.9 -> 1.4)",
+         pct(reduction)),
+        ("64KB cost, no affinity", "~1.9", "%.2f" % none_cost),
+        ("64KB cost reduction, process affinity", "~0%", pct(proc)),
+    ])
 
     # Cost decreases monotonically-ish with size for every mode.
-    for mode in AFFINITY_MODES:
-        costs = [tx_sweep[(s, mode)].cost_ghz_per_gbps for s in PAPER_SIZES]
-        assert costs[0] > costs[-1] * 1.8
+    assert fall > 1.8
 
     # The paper's worked example: 64KB TX cost drops ~25% under full
     # affinity (we accept 10-35%).
-    reduction = cost_reduction(tx_sweep, 65536, "full")
     assert 0.10 < reduction < 0.35
 
     # Absolute zone: no-affinity 64KB TX costs ~1.9 GHz/Gbps in the
     # paper; we accept a generous band around it.
-    none_cost = tx_sweep[(65536, "none")].cost_ghz_per_gbps
     assert 1.2 < none_cost < 2.6
 
     # Process affinity alone does not reduce cost materially.
-    assert abs(cost_reduction(tx_sweep, 65536, "proc")) < 0.10
+    assert abs(proc) < 0.10
 
 
-def test_figure4_rx(benchmark, rx_sweep, artifacts_dir):
+def test_figure4_rx(benchmark, tx_sweep, rx_sweep, artifacts_dir):
     text = benchmark.pedantic(
         _render, args=(rx_sweep, "rx"), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "figure4_rx.txt", text)
-
-    for mode in AFFINITY_MODES:
-        costs = [rx_sweep[(s, mode)].cost_ghz_per_gbps for s in PAPER_SIZES]
-        assert costs[0] > costs[-1] * 1.8
-    assert cost_reduction(rx_sweep, 65536, "full") > 0.05
-
+    fall = _fall(rx_sweep)
+    reduction = cost_reduction(rx_sweep, 65536, "full")
     # RX is more memory-bound than TX: at 64KB it costs more per bit.
-    # (Compare against the TX sweep through the cache-backed corner.)
+    costs = {
+        mode: (rx_sweep[(65536, mode)].cost_ghz_per_gbps,
+               tx_sweep[(65536, mode)].cost_ghz_per_gbps)
+        for mode in ("none", "full")
+    }
+    write_artifact(artifacts_dir, "figure4_rx.txt", text, [
+        ("128B / 64KB cost, lowest mode", "falls with size", "%.2fx" % fall),
+        ("64KB cost reduction, full affinity", "2.0-2.4 -> 1.6-1.9",
+         pct(reduction)),
+        ("64KB cost RX vs TX, no affinity", "~2.0-2.4 vs ~1.9",
+         "%.2f vs %.2f" % costs["none"]),
+        ("64KB cost RX vs TX, full affinity", "~1.6-1.9 vs ~1.4",
+         "%.2f vs %.2f" % costs["full"]),
+    ])
 
-
-def test_rx_costs_more_than_tx_at_64k(benchmark, tx_sweep, rx_sweep):
-    def check():
-        for mode in ("none", "full"):
-            assert (
-                rx_sweep[(65536, mode)].cost_ghz_per_gbps
-                > tx_sweep[(65536, mode)].cost_ghz_per_gbps * 0.95
-            )
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    assert fall > 1.8
+    assert reduction > 0.05
+    for rx, tx in costs.values():
+        assert rx > tx * 0.95

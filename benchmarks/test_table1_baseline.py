@@ -10,6 +10,7 @@ Paper's shapes asserted here:
 * branches are ~10-16% of instructions, mispredicts low.
 """
 
+from repro.analysis.tables import format_pct as pct
 from repro.core.characterization import (
     characterization_assertions,
     characterize,
@@ -24,20 +25,42 @@ def _corner_rows(pair):
     return characterize(none), characterize(full)
 
 
+def _branch_claims(rows_none, rows_full):
+    """Branches ~10-16% of instructions; mispredicts < ~2.5%."""
+    none, full = rows_none["overall"], rows_full["overall"]
+    return [
+        ("branches of instructions, none / full", "10-16%",
+         "%s / %s" % (pct(none.pct_branches), pct(full.pct_branches))),
+        ("branch mispredict ratio, none / full", "<2%",
+         "%s / %s" % (pct(none.pct_mispredicted),
+                      pct(full.pct_mispredicted))),
+    ]
+
+
 def test_table1_tx64(benchmark, tx64_pair, artifacts_dir):
     text = benchmark.pedantic(
         render_table1, args=tx64_pair + ("TX 64KB",), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "table1_tx64k.txt", text)
     rows_none, rows_full = _corner_rows(tx64_pair)
-
-    # Hotspots: engine + buf mgmt + copies carry most of the time.
     hot = sum(
         rows_none[b].pct_cycles for b in ("engine", "buf_mgmt", "copies")
     )
+    claims = characterization_assertions(rows_none, rows_full)
+    cpi = (rows_none["overall"].cpi, rows_full["overall"].cpi)
+    mpi = (rows_none["overall"].mpi, rows_full["overall"].mpi)
+    write_artifact(artifacts_dir, "table1_tx64k.txt", text, [
+        ("engine + buf mgmt + copies share", "most cycles", pct(hot)),
+        ("engine share, none / full", "25.5% / ~constant",
+         "%s / %s" % (pct(rows_none["engine"].pct_cycles),
+                      pct(rows_full["engine"].pct_cycles))),
+        ("overall CPI, none -> full", "5.04 -> 4.14", "%.2f -> %.2f" % cpi),
+        ("overall MPI, none -> full", "0.0078 -> 0.0047",
+         "%.4f -> %.4f" % mpi),
+    ] + _branch_claims(rows_none, rows_full))
+
+    # Hotspots: engine + buf mgmt + copies carry most of the time.
     assert hot > 0.55
 
-    claims = characterization_assertions(rows_none, rows_full)
     # Engine's share is stable across modes.
     assert claims["engine share is 15-35% of cycles"]
 
@@ -46,78 +69,76 @@ def test_table1_tx64(benchmark, tx64_pair, artifacts_dir):
     assert claims["overall MPI improves with affinity"]
 
     # MPI zone (paper: 0.0078 -> 0.0047).
-    assert 0.002 < rows_none["overall"].mpi < 0.02
-    assert rows_full["overall"].mpi < rows_none["overall"].mpi
+    assert 0.002 < mpi[0] < 0.02
+    assert mpi[1] < mpi[0]
+
+    for rows in (rows_none, rows_full):
+        assert 0.08 <= rows["overall"].pct_branches <= 0.20
+    assert claims["branch misprediction stays low (<2.5%)"]
 
 
 def test_table1_tx128(benchmark, tx128_pair, artifacts_dir):
     text = benchmark.pedantic(
         render_table1, args=tx128_pair + ("TX 128B",), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "table1_tx128.txt", text)
     rows_none, rows_full = _corner_rows(tx128_pair)
+    interface = rows_none["interface"]
+    write_artifact(artifacts_dir, "table1_tx128.txt", text, [
+        ("interface share", "42.4%", pct(interface.pct_cycles)),
+        ("engine share", "second hotspot",
+         pct(rows_none["engine"].pct_cycles)),
+        ("copies share", "minor", pct(rows_none["copies"].pct_cycles)),
+        ("interface CPI", "very large", "%.2f" % interface.cpi),
+    ] + _branch_claims(rows_none, rows_full))
 
     # Small transfers: the sockets interface dominates, then engine.
-    assert rows_none["interface"].pct_cycles > 0.30
+    assert interface.pct_cycles > 0.30
     assert rows_none["engine"].pct_cycles > 0.15
     # Copies are minor at 128B.
     assert rows_none["copies"].pct_cycles < 0.15
+    assert interface.cpi > 4.0
+
+    for rows in (rows_none, rows_full):
+        assert 0.08 <= rows["overall"].pct_branches <= 0.20
+    claims = characterization_assertions(rows_none, rows_full)
+    assert claims["branch misprediction stays low (<2.5%)"]
 
 
-def test_table1_rx64(benchmark, rx64_pair, artifacts_dir):
+def test_table1_rx64(benchmark, rx64_pair, tx64_pair, artifacts_dir):
     text = benchmark.pedantic(
         render_table1, args=rx64_pair + ("RX 64KB",), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "table1_rx64k.txt", text)
-    rows_none, rows_full = _corner_rows(rx64_pair)
+    rows_none, _ = _corner_rows(rx64_pair)
+    copies = rows_none["copies"]
+    rx, tx = rows_none["overall"], characterize(tx64_pair[0])["overall"]
+    write_artifact(artifacts_dir, "table1_rx64k.txt", text, [
+        ("copies share", "40.3%", pct(copies.pct_cycles)),
+        ("copies CPI (rep movl)", "66.3", "%.1f" % copies.cpi),
+        ("copies MPI", "0.133", "%.3f" % copies.mpi),
+        ("overall CPI, RX vs TX (no affinity)", "8.5 vs 5.0",
+         "%.2f vs %.2f" % (rx.cpi, tx.cpi)),
+        ("overall MPI, RX vs TX (no affinity)", "RX higher",
+         "%.4f vs %.4f" % (rx.mpi, tx.mpi)),
+    ])
 
     # The rep-movl receive copy: explosive CPI and MPI (paper: CPI ~66,
     # MPI ~0.13).
-    assert rows_none["copies"].cpi > 15
-    assert rows_none["copies"].mpi > 0.05
+    assert copies.cpi > 15
+    assert copies.mpi > 0.05
     # Copies dominate time on the receive side.
-    assert rows_none["copies"].pct_cycles > 0.25
+    assert copies.pct_cycles > 0.25
+    # RX is more memory-bound than TX.
+    assert rx.cpi > tx.cpi
+    assert rx.mpi > tx.mpi
 
 
 def test_table1_rx128(benchmark, rx128_pair, artifacts_dir):
     text = benchmark.pedantic(
         render_table1, args=rx128_pair + ("RX 128B",), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "table1_rx128.txt", text)
     rows_none, _ = _corner_rows(rx128_pair)
-    assert rows_none["interface"].pct_cycles > 0.30
-
-
-def test_rx_more_memory_bound_than_tx(benchmark, tx64_pair, rx64_pair):
-    def check():
-        tx_none, _ = tx64_pair
-        rx_none, _ = rx64_pair
-        tx_rows = characterize(tx_none)
-        rx_rows = characterize(rx_none)
-        assert rx_rows["overall"].cpi > tx_rows["overall"].cpi
-        assert rx_rows["overall"].mpi > tx_rows["overall"].mpi
-
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-def test_branch_profile(benchmark, tx64_pair, tx128_pair):
-    def check():
-        """Branches ~10-16% of instructions; mispredicts < ~2.5%."""
-        for pair in (tx64_pair, tx128_pair):
-            rows_none, rows_full = _corner_rows(pair)
-            for rows in (rows_none, rows_full):
-                assert 0.08 <= rows["overall"].pct_branches <= 0.20
-            claims = characterization_assertions(rows_none, rows_full)
-            assert claims["branch misprediction stays low (<2.5%)"]
-
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-def test_interface_cpi_is_poor(benchmark, tx128_pair):
-    def check():
-        rows_none, _ = _corner_rows(tx128_pair)
-        assert rows_none["interface"].cpi > 4.0
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    share = rows_none["interface"].pct_cycles
+    write_artifact(artifacts_dir, "table1_rx128.txt", text, [
+        ("interface share", "dominant", pct(share)),
+    ])
+    assert share > 0.30

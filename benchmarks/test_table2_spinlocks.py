@@ -7,46 +7,59 @@ the one loop-exit mispredict divides a tiny denominator; contention
 essentially disappears.
 """
 
+from repro.analysis.tables import format_pct as pct
 from repro.core.lockstudy import LockComparison
 from repro.core.report import render_table2
 
 from conftest import write_artifact
 
 
-def test_table2_spinlocks_tx64(benchmark, tx64_pair, artifacts_dir):
+def test_table2_spinlocks_tx64(benchmark, tx64_pair, tx128_pair, rx64_pair,
+                               artifacts_dir):
     comparison = LockComparison(*tx64_pair)
     text = benchmark.pedantic(
         render_table2, args=(comparison,), rounds=1, iterations=1
     )
-    write_artifact(artifacts_dir, "table2_spinlocks.txt", text)
+    collapse = comparison.branch_collapse_ratio()
+    contention = (comparison.contention("none"),
+                  comparison.contention("full"))
+    mispredict = (comparison.mispredict_ratio("none"),
+                  comparison.mispredict_ratio("full"))
+    spin = (comparison.spin_cycles_per_bit("none"),
+            comparison.spin_cycles_per_bit("full"))
+    others = {
+        label: LockComparison(*pair).assertions()
+        for label, pair in (("TX 128B", tx128_pair), ("RX 64KB", rx64_pair))
+    }
+    write_artifact(artifacts_dir, "table2_spinlocks.txt", text, [
+        ("full-aff lock branches / no-aff", "5-10%", pct(collapse)),
+        ("contention, none -> full", "high -> ~none",
+         "%s -> %s" % tuple(pct(c) for c in contention)),
+        ("mispredict ratio, none -> full", "rises",
+         "%s -> %s" % tuple(pct(m) for m in mispredict)),
+        ("spin cycles per Mbit, none -> full", "shrinks",
+         "%.0f -> %.0f" % tuple(s * 1e6 for s in spin)),
+    ] + [
+        ("%s: %s" % (label, claim), "holds",
+         "holds" if ok else "DOES NOT HOLD")
+        for label, checks in others.items() for claim, ok in checks.items()
+    ])
 
     # Branch collapse (paper: full-affinity executes 5-10% of the
     # no-affinity branch count; we accept < 60%).
-    assert comparison.branch_collapse_ratio() < 0.6
+    assert collapse < 0.6
 
     # Contention collapses.
-    assert comparison.contention("full") < comparison.contention("none")
+    assert contention[1] < contention[0]
 
     # The apparent mispredict ratio does not *drop* -- fewer branches
     # make the fixed exit mispredict loom larger.
-    assert (
-        comparison.mispredict_ratio("full")
-        >= comparison.mispredict_ratio("none") * 0.9
-    )
+    assert mispredict[1] >= mispredict[0] * 0.9
 
     # Spin time per work shrinks.
-    assert (
-        comparison.spin_cycles_per_bit("full")
-        < comparison.spin_cycles_per_bit("none")
-    )
+    assert spin[1] < spin[0]
 
-
-def test_table2_claims_all_corners(benchmark, tx128_pair, rx64_pair, artifacts_dir):
-    def check():
-        for pair, label in ((tx128_pair, "tx128"), (rx64_pair, "rx64")):
-            comparison = LockComparison(*pair)
-            checks = comparison.assertions()
-            failed = [k for k, ok in checks.items() if not ok]
-            assert not failed, "%s failed: %s" % (label, failed)
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    # Every Table 2 claim holds in the other corners too.
+    for label, checks in others.items():
+        failed = [k for k, ok in checks.items() if not ok]
+        assert not failed, "%s failed: %s" % (label, failed)

@@ -692,6 +692,77 @@ def cmd_table3(args):
     return 0
 
 
+def cmd_runs(args):
+    # The run store, and with it sqlite3, loads only here.
+    from repro.runstore.cli import run
+
+    return run(args)
+
+
+def _add_runs_parser(sub):
+    """Attach the ``runs`` subcommand tree to the main CLI parser."""
+    p_runs = sub.add_parser(
+        "runs",
+        help="inspect, resume, query and collect run directories",
+    )
+    p_runs.add_argument(
+        "--root", default=None,
+        help="run-store root (default $REPRO_RUNS_DIR or results/runs)")
+    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
+    p_runs.set_defaults(func=cmd_runs)
+
+    p_list = runs_sub.add_parser("list", help="list runs, newest first")
+    p_list.add_argument("--status", default=None,
+                        help="only runs with this effective status")
+
+    p_show = runs_sub.add_parser(
+        "show", help="manifest + journal summary of one run")
+    p_show.add_argument("run_id")
+
+    p_resume = runs_sub.add_parser(
+        "resume",
+        help="resume an interrupted run; journaled cells replay "
+             "without re-execution and the final report is "
+             "byte-identical to an uninterrupted run")
+    p_resume.add_argument("run_id")
+    p_resume.add_argument(
+        "--jobs", type=int, default=None,
+        help="override the recorded worker count (results are "
+             "identical at any job count)")
+
+    runs_sub.add_parser(
+        "index", help="rebuild index.sqlite from the run directories")
+
+    p_query = runs_sub.add_parser(
+        "query",
+        help="cross-run cell query (e.g. --mode rss --cpus 16)")
+    p_query.add_argument("--command", dest="command_filter", default=None,
+                         help="filter by study command (sweep/scale/...)")
+    p_query.add_argument("--status", default=None)
+    p_query.add_argument("--direction", choices=("tx", "rx"),
+                         default=None)
+    p_query.add_argument("--mode", default=None,
+                         help="affinity/steering mode, e.g. rss")
+    p_query.add_argument("--size", type=int, default=None)
+    p_query.add_argument("--cpus", type=int, default=None)
+    p_query.add_argument("--limit", type=int, default=30,
+                         help="newest N runs' cells (default 30)")
+    p_query.add_argument("--sql", default=None,
+                         help="raw read-only SELECT instead of filters")
+
+    p_gc = runs_sub.add_parser(
+        "gc", help="delete old finished runs and rebuild the index")
+    p_gc.add_argument("--keep", type=int, default=10,
+                      help="finished runs to keep (default 10)")
+    p_gc.add_argument("--days", type=float, default=None,
+                      help="additionally require runs be older than "
+                           "this many days")
+    p_gc.add_argument("--include-crashed", action="store_true",
+                      help="also collect crashed (killed mid-run, "
+                           "never resumed) runs")
+    p_gc.add_argument("--dry-run", action="store_true")
+
+
 def build_parser():
     # Only the modules that define the parser's choices and defaults;
     # none of them imports the simulator.
@@ -706,7 +777,6 @@ def build_parser():
     from repro.diagnose.driver import DEFAULT_FACTOR
     from repro.diagnose.perturb import PERTURB_SPECS
     from repro.diagnose.saturation import DEFAULT_STEPS, DEFAULT_SUSTAIN_FRAC
-    from repro.runstore.cli import register as register_runs_cli
     from repro.trace.tracer import TraceOptions
 
     parser = argparse.ArgumentParser(
@@ -916,7 +986,7 @@ def build_parser():
     _add_common(p_t3)
     p_t3.set_defaults(func=cmd_table3)
 
-    register_runs_cli(sub)
+    _add_runs_parser(sub)
 
     return parser
 

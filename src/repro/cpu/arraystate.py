@@ -48,10 +48,9 @@ BP_COUNT = 2
 class ArraySetAssocCache:
     """Flat-array layout of :class:`~repro.cpu.cache.SetAssocCache`."""
 
-    __slots__ = ("geometry", "_tags", "_stats", "_mask", "_ways")
+    __slots__ = ("_tags", "_stats", "_mask", "_ways")
 
     def __init__(self, geometry):
-        self.geometry = geometry
         self._mask = set_mask(geometry)
         self._ways = geometry.ways
         self._tags = array("q", [-1]) * ((self._mask + 1) * geometry.ways)
@@ -87,8 +86,8 @@ class ArraySetAssocCache:
         return out
 
     def __repr__(self):
-        return "%s(%r, hits=%d, misses=%d)" % (
-            type(self).__name__, self.geometry, self.hits, self.misses)
+        return "%s(hits=%d, misses=%d)" % (
+            type(self).__name__, self.hits, self.misses)
 
 
 class ArrayTraceCache(ArraySetAssocCache):
@@ -105,10 +104,9 @@ class ArrayTraceCache(ArraySetAssocCache):
 class ArrayTlb:
     """Flat-array layout of :class:`~repro.cpu.tlb.Tlb`."""
 
-    __slots__ = ("geometry", "_pages", "_stats", "_capacity")
+    __slots__ = ("_pages", "_stats", "_capacity")
 
     def __init__(self, geometry):
-        self.geometry = geometry
         self._capacity = geometry.entries
         self._pages = array("q", [-1]) * geometry.entries
         self._stats = array("q", [0, 0])
@@ -157,8 +155,7 @@ class ArrayTlb:
         return out
 
     def __repr__(self):
-        return "ArrayTlb(%r, hits=%d, walks=%d)" % (
-            self.geometry, self.hits, self.walks)
+        return "ArrayTlb(hits=%d, walks=%d)" % (self.hits, self.walks)
 
 
 class ArrayBranchPredictor:

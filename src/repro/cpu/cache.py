@@ -43,10 +43,9 @@ class CacheBase:
     transition over it.
     """
 
-    __slots__ = ("geometry", "_mask", "_sets", "_ways", "hits", "misses")
+    __slots__ = ("_mask", "_sets", "_ways", "hits", "misses")
 
     def __init__(self, geometry):
-        self.geometry = geometry
         self._mask = set_mask(geometry)
         self._ways = geometry.ways
         self._sets = [self._new_set() for _ in range(self._mask + 1)]
@@ -58,8 +57,8 @@ class CacheBase:
         return line in self._sets[line & self._mask]
 
     def __repr__(self):
-        return "%s(%r, hits=%d, misses=%d)" % (
-            type(self).__name__, self.geometry, self.hits, self.misses)
+        return "%s(hits=%d, misses=%d)" % (
+            type(self).__name__, self.hits, self.misses)
 
 
 class SetAssocCache(CacheBase):

@@ -11,10 +11,9 @@ from repro.mem.layout import PAGE_SIZE, page_span
 class Tlb:
     """A fully-associative LRU TLB over page numbers."""
 
-    __slots__ = ("geometry", "_entries", "_capacity", "hits", "walks")
+    __slots__ = ("_entries", "_capacity", "hits", "walks")
 
     def __init__(self, geometry):
-        self.geometry = geometry
         self._entries = []
         self._capacity = geometry.entries
         self.hits = 0
@@ -102,4 +101,4 @@ class Tlb:
         return list(self._entries)
 
     def __repr__(self):
-        return "Tlb(%r, hits=%d, walks=%d)" % (self.geometry, self.hits, self.walks)
+        return "Tlb(hits=%d, walks=%d)" % (self.hits, self.walks)

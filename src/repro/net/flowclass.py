@@ -53,17 +53,16 @@ from repro.net.rss import INDIRECTION_ENTRIES, flow_hash
 class FlowClass:
     """One group of statistically-identical flows sharing an RSS queue."""
 
-    __slots__ = ("class_id", "queue", "rep_conn_id", "weight")
+    __slots__ = ("queue", "rep_conn_id", "weight")
 
-    def __init__(self, class_id, queue, rep_conn_id, weight):
-        self.class_id = class_id
+    def __init__(self, queue, rep_conn_id, weight):
         self.queue = queue
         self.rep_conn_id = rep_conn_id
         self.weight = weight
 
     def __repr__(self):
-        return "FlowClass(#%d q%d rep=%d x%d)" % (
-            self.class_id, self.queue, self.rep_conn_id, self.weight
+        return "FlowClass(q%d rep=%d x%d)" % (
+            self.queue, self.rep_conn_id, self.weight
         )
 
 
@@ -139,6 +138,6 @@ def partition_flows(n_flows, n_queues, entries=INDIRECTION_ENTRIES):
         for q, count in enumerate(pop.queue_counts) if count
     )
     return pop, [
-        FlowClass(class_id, q, rep, pop.queue_counts[q])
-        for class_id, (rep, q) in enumerate(reps)
+        FlowClass(q, rep, pop.queue_counts[q])
+        for rep, q in reps
     ]

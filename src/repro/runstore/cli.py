@@ -12,9 +12,9 @@ Subcommands::
     runs query [...]          cross-run cell query via the index
     runs gc [--keep N]        delete old terminal runs, rebuild index
 
-Kept separate from :mod:`repro.cli` so the main CLI only pays for the
-run-store import when a study (or a ``runs`` subcommand) actually
-uses it; ``resume`` imports the study commands lazily to avoid the
+The parser lives in :mod:`repro.cli`; this module, and with it the
+run store and ``sqlite3``, loads only when a ``runs`` subcommand
+executes.  ``resume`` imports the study commands lazily to avoid the
 circular import.
 """
 
@@ -198,71 +198,13 @@ def cmd_runs_gc(args):
     return 0
 
 
-def register(subparsers):
-    """Attach the ``runs`` subcommand tree to the main CLI parser."""
-    p_runs = subparsers.add_parser(
-        "runs",
-        help="inspect, resume, query and collect run directories",
-    )
-    p_runs.add_argument(
-        "--root", default=None,
-        help="run-store root (default $REPRO_RUNS_DIR or results/runs)")
-    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-
-    p_list = runs_sub.add_parser("list", help="list runs, newest first")
-    p_list.add_argument("--status", default=None,
-                        help="only runs with this effective status")
-    p_list.set_defaults(func=cmd_runs_list)
-
-    p_show = runs_sub.add_parser(
-        "show", help="manifest + journal summary of one run")
-    p_show.add_argument("run_id")
-    p_show.set_defaults(func=cmd_runs_show)
-
-    p_resume = runs_sub.add_parser(
-        "resume",
-        help="resume an interrupted run; journaled cells replay "
-             "without re-execution and the final report is "
-             "byte-identical to an uninterrupted run")
-    p_resume.add_argument("run_id")
-    p_resume.add_argument(
-        "--jobs", type=int, default=None,
-        help="override the recorded worker count (results are "
-             "identical at any job count)")
-    p_resume.set_defaults(func=cmd_runs_resume)
-
-    p_index = runs_sub.add_parser(
-        "index", help="rebuild index.sqlite from the run directories")
-    p_index.set_defaults(func=cmd_runs_index)
-
-    p_query = runs_sub.add_parser(
-        "query",
-        help="cross-run cell query (e.g. --mode rss --cpus 16)")
-    p_query.add_argument("--command", dest="command_filter", default=None,
-                         help="filter by study command (sweep/scale/...)")
-    p_query.add_argument("--status", default=None)
-    p_query.add_argument("--direction", choices=("tx", "rx"),
-                         default=None)
-    p_query.add_argument("--mode", default=None,
-                         help="affinity/steering mode, e.g. rss")
-    p_query.add_argument("--size", type=int, default=None)
-    p_query.add_argument("--cpus", type=int, default=None)
-    p_query.add_argument("--limit", type=int, default=30,
-                         help="newest N runs' cells (default 30)")
-    p_query.add_argument("--sql", default=None,
-                         help="raw read-only SELECT instead of filters")
-    p_query.set_defaults(func=cmd_runs_query)
-
-    p_gc = runs_sub.add_parser(
-        "gc", help="delete old finished runs and rebuild the index")
-    p_gc.add_argument("--keep", type=int, default=10,
-                      help="finished runs to keep (default 10)")
-    p_gc.add_argument("--days", type=float, default=None,
-                      help="additionally require runs be older than "
-                           "this many days")
-    p_gc.add_argument("--include-crashed", action="store_true",
-                      help="also collect crashed (killed mid-run, "
-                           "never resumed) runs")
-    p_gc.add_argument("--dry-run", action="store_true")
-    p_gc.set_defaults(func=cmd_runs_gc)
-    return p_runs
+def run(args):
+    """Execute the ``runs`` subcommand that ``args`` names."""
+    return {
+        "list": cmd_runs_list,
+        "show": cmd_runs_show,
+        "resume": cmd_runs_resume,
+        "index": cmd_runs_index,
+        "query": cmd_runs_query,
+        "gc": cmd_runs_gc,
+    }[args.runs_command](args)

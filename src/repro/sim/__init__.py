@@ -14,8 +14,7 @@ observed in a causally consistent order.
 ====================  ==============================================
 :mod:`.events`        ``Event``, ``EventQueue``, ``SimulationEngine``
 :mod:`.rng`           ``RngStreams``
-:mod:`.units`         ``CYCLES_PER_SECOND_2GHZ``, ``gbps``, ``mbps``,
-                      ``cycles_to_seconds``, ``bytes_to_bits``
+:mod:`.units`         ``CYCLES_PER_SECOND_2GHZ``
 ====================  ==============================================
 
 Import names from their defining module; the package re-exports

@@ -373,7 +373,7 @@ class TestTraceCacheEquivalence:
         pure, _ = run_differential(seed, FETCH_MIX)
         tc = pure.cpus[0].trace_cache
         assert tc.hits > 0 and tc.misses > len(tc._sets) * tc._ways
-        assert pure.cpus[0].itlb.walks > pure.cpus[0].itlb.geometry.entries
+        assert pure.cpus[0].itlb.walks > pure.cpus[0].itlb._capacity
 
 
 @needs_compiled
@@ -382,7 +382,7 @@ class TestTlbEquivalence:
     def test_random_trace(self, seed):
         pure, _ = run_differential(seed, TLB_MIX)
         dtlb = pure.cpus[0].dtlb
-        assert dtlb.hits > 0 and dtlb.walks > dtlb.geometry.entries
+        assert dtlb.hits > 0 and dtlb.walks > dtlb._capacity
 
     def test_flush_below_keeps_buffer_identity(self):
         # The C engine binds the page buffer once; compaction must not

@@ -137,12 +137,11 @@ class TestPartition:
         for conn_id, q in enumerate(queues):
             by_queue.setdefault(q, []).append(conn_id)
         expected = [
-            (class_id, q, flows[0], len(flows))
-            for class_id, (q, flows) in enumerate(by_queue.items())
+            (q, flows[0], len(flows)) for q, flows in by_queue.items()
         ]
         pop, classes = partition_flows(n_flows, n_queues)
         assert [
-            (fc.class_id, fc.queue, fc.rep_conn_id, fc.weight)
+            (fc.queue, fc.rep_conn_id, fc.weight)
             for fc in classes
         ] == expected
         assert list(pop.queues) == queues

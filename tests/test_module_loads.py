@@ -2,7 +2,8 @@
 
 Every check starts a fresh interpreter, runs one import, and reads
 ``sys.modules``: the CLI module alone loads nothing of the package,
-building its parser loads no simulator module and no sweep pool, and
+building its parser loads no simulator module, no sweep pool and no
+run-store database, and
 configs, results and the result cache (:mod:`repro.core.experiment`)
 load without the simulator, the sweep pool or the run store's
 database.
@@ -59,6 +60,11 @@ def test_cli_parser_loads_no_simulator():
 def test_cli_parser_loads_no_sweep_pool():
     modules = loaded_after("import repro.cli\nrepro.cli.build_parser()")
     assert sorted(modules & {"repro.core.parallel", "multiprocessing"}) == []
+
+
+def test_cli_parser_loads_no_database():
+    modules = loaded_after("import repro.cli\nrepro.cli.build_parser()")
+    assert sorted(modules & {"sqlite3", "repro.runstore.index"}) == []
 
 
 def test_experiment_loads_no_simulator_pool_or_database():

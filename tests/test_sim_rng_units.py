@@ -1,15 +1,6 @@
-"""Unit tests for RNG streams and unit conversions."""
-
-import pytest
+"""Unit tests for RNG streams."""
 
 from repro.sim.rng import RngStreams
-from repro.sim.units import (
-    CYCLES_PER_SECOND_2GHZ,
-    bytes_to_bits,
-    cycles_to_seconds,
-    gbps,
-    mbps,
-)
 
 
 class TestRngStreams:
@@ -41,20 +32,3 @@ class TestRngStreams:
         child = parent.spawn("worker")
         assert parent.stream("a").random() != child.stream("a").random()
 
-
-class TestUnits:
-    def test_bits_bytes_roundtrip(self):
-        assert bytes_to_bits(128) == 1024
-
-    def test_cycles_seconds_roundtrip(self):
-        cycles = CYCLES_PER_SECOND_2GHZ // 4
-        assert cycles_to_seconds(cycles) == pytest.approx(0.25)
-
-    def test_gbps(self):
-        # 1 GB moved in one second at 2 GHz.
-        bytes_moved = 10 ** 9
-        assert gbps(bytes_moved, CYCLES_PER_SECOND_2GHZ) == pytest.approx(8.0)
-        assert mbps(bytes_moved, CYCLES_PER_SECOND_2GHZ) == pytest.approx(8000.0)
-
-    def test_gbps_empty_window(self):
-        assert gbps(100, 0) == 0.0

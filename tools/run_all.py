@@ -2,13 +2,12 @@
 
     python tools/run_all.py [--fresh] [--jobs N]
 
-Runs, in order: the unit/integration test suite, the benchmark suite
-(regenerating the paper's tables and figures into ``results/``), and
-the EXPERIMENTS.md report.  ``--fresh`` clears the result caches first
-so everything is recomputed from scratch (expect tens of minutes).
-``--jobs N`` fans the experiment sweeps out over N worker processes
-(exported as ``REPRO_JOBS`` so the benchmark fixtures pick it up; the
-default is one worker per CPU).
+Runs the unit/integration test suite, then the benchmark suite, whose
+tests rewrite the artefacts they own in ``results/``.  ``--fresh``
+first clears the result cache, which keys payloads by config alone:
+after a model change only a cold cache renders the new model.
+``--jobs N`` fans the sweeps out over N worker processes (exported as
+``REPRO_JOBS`` for the benchmark fixtures; default one per CPU).
 """
 
 import os
@@ -36,21 +35,20 @@ def main(argv):
         print("sweeps will use %d worker process(es)" % max(1, jobs))
 
     if "--fresh" in argv:
-        for path in (".repro-results", "results"):
-            shutil.rmtree(path, ignore_errors=True)
-        print("cleared caches and artefacts")
+        from repro.core.experiment import ResultCache
 
-    failures = 0
-    failures += run([sys.executable, "-m", "pytest", "tests/", "-q"])
+        shutil.rmtree(ResultCache().directory, ignore_errors=True)
+        print("cleared the result cache")
+
+    failures = run([sys.executable, "-m", "pytest", "tests/", "-q"])
     failures += run([
         sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only",
         "-q",
     ])
-    failures += run([sys.executable, "tools/make_experiments_report.py"])
     if failures:
         print("\nFAILURES above", file=sys.stderr)
         return 1
-    print("\nall artefacts regenerated; see results/ and EXPERIMENTS.md")
+    print("\nall artefacts regenerated; see results/")
     return 0
 
 
